@@ -44,12 +44,11 @@ struct ScenarioResult {
   uint64_t trace_hash = 0;
   uint64_t allocs = 0;
   uint64_t fn_fallbacks = 0;  // InlineFunction closures that heap-boxed.
-  // Lane scenarios only: the critical-path model from an unthreaded 4-lane
-  // run (this container has one CPU, so threaded wall-clock measures
-  // scheduler contention, not parallel speedup — see EXPERIMENTS.md).
+  // Lane scenarios only: the measured wall-clock speedup of 4 threaded
+  // lanes over one lane on the same scenario.
   int lanes = 0;
-  double model_parallel_wall_s = 0;  // Sum over windows of (max lane busy + merge).
-  double model_speedup = 0;          // Single-lane wall / model_parallel_wall_s.
+  double lane1_wall_s = 0;
+  double speedup = 0;  // lane1_wall_s / wall_s.
 };
 
 void Report(const char* scenario, uint64_t seed, const ScenarioResult& r) {
@@ -64,48 +63,12 @@ void Report(const char* scenario, uint64_t seed, const ScenarioResult& r) {
       static_cast<double>(r.sim_ns) / 1e9, r.trace_hash, r.allocs, allocs_per_event,
       r.fn_fallbacks);
   if (r.lanes > 0) {
-    std::printf(",\"lanes\":%d,\"model_parallel_wall_s\":%.6f,\"model_events_per_s\":%.0f,"
-                "\"model_speedup\":%.2f",
-                r.lanes, r.model_parallel_wall_s,
-                r.model_parallel_wall_s > 0
-                    ? static_cast<double>(r.events) / r.model_parallel_wall_s
-                    : 0,
-                r.model_speedup);
+    std::printf(",\"lanes\":%d,\"lane1_wall_s\":%.6f,\"speedup\":%.2f", r.lanes,
+                r.lane1_wall_s, r.speedup);
   }
   std::printf("}\n");
   std::fflush(stdout);
 }
-
-// Critical-path accumulator for unthreaded lane runs: with LaneSet's
-// PhaseHooks it times each lane's window slice and the sequential merge,
-// and models a perfectly parallel execution as sum over windows of
-// (max lane busy + merge) — the schedule's actual critical path, free of
-// this container's single-CPU thread contention.
-class CriticalPathModel {
- public:
-  void Install(LaneSet* lanes) {
-    LaneSet::PhaseHooks hooks;
-    hooks.lane_begin = [this](int) { mark_ = std::chrono::steady_clock::now(); };
-    hooks.lane_end = [this](int) { window_max_s_ = std::max(window_max_s_, Lap()); };
-    hooks.merge_begin = [this]() { mark_ = std::chrono::steady_clock::now(); };
-    hooks.merge_end = [this]() {
-      critical_s_ += window_max_s_ + Lap();
-      window_max_s_ = 0;
-    };
-    lanes->set_phase_hooks(std::move(hooks));
-  }
-
-  double critical_s() const { return critical_s_; }
-
- private:
-  double Lap() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - mark_).count();
-  }
-
-  std::chrono::steady_clock::time_point mark_;
-  double window_max_s_ = 0;
-  double critical_s_ = 0;
-};
 
 // Times `run` (the event loop only — setup is excluded) and snapshots the
 // global allocation counter around it.
@@ -165,8 +128,7 @@ ScenarioResult RunDispatch(uint64_t seed, bool smoke) {
 
 // --- dispatch_lanes: the dispatch load sharded across event lanes. ---
 
-ScenarioResult RunDispatchLanes(uint64_t seed, bool smoke, int lanes, bool threads,
-                                CriticalPathModel* model = nullptr) {
+ScenarioResult RunDispatchLanes(uint64_t seed, bool smoke, int lanes, bool threads) {
   constexpr int kChains = 32;
   constexpr Tick kPeriod = 100;
   const Tick stop = smoke ? kMillisecond : 10 * kMillisecond;
@@ -177,12 +139,11 @@ ScenarioResult RunDispatchLanes(uint64_t seed, bool smoke, int lanes, bool threa
   lane_config.lookahead = 1'150;  // The cluster's cross-lane horizon.
   lane_config.seed = seed;
   LaneSet set(lane_config);
-  if (model != nullptr) {
-    model->Install(&set);
-  }
   std::vector<std::unique_ptr<Chain>> chains;
   for (int i = 0; i < kChains; i++) {
-    chains.push_back(std::make_unique<Chain>(&set.lane_sim(i % lanes), kPeriod, stop));
+    // One node per chain, round-robined across the lanes.
+    set.AssignNode(static_cast<NodeId>(i), i % lanes);
+    chains.push_back(std::make_unique<Chain>(set.SimFor(static_cast<NodeId>(i)), kPeriod, stop));
     chains.back()->Start(static_cast<Tick>(i));  // Staggered starts.
   }
   ScenarioResult result;
@@ -207,8 +168,7 @@ struct ClusterScenario {
   bool lane_threads = false;
 };
 
-ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario,
-                          CriticalPathModel* model = nullptr) {
+ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario) {
   ClusterConfig config;
   config.num_masters = scenario.masters;
   config.num_clients = scenario.clients;
@@ -218,9 +178,6 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario,
   config.lanes = scenario.lanes;
   config.lane_threads = scenario.lane_threads;
   Cluster cluster(config);
-  if (model != nullptr) {
-    model->Install(cluster.lanes());
-  }
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   if (scenario.spread) {
@@ -283,15 +240,15 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario,
 }
 
 // Runs a lane scenario's three configurations — single-lane reference,
-// 4-lane unthreaded (for the critical-path model), 4-lane threaded (the
-// reported run) — and dies if any trace hash diverges: identical schedules
-// across lane counts and threading is the sharded engine's contract.
+// 4-lane unthreaded, 4-lane threaded (the reported run) — and dies if any
+// trace hash diverges: identical schedules across lane counts and threading
+// is the sharded engine's contract. The headline is the threaded run's
+// measured wall-clock speedup over one lane.
 template <typename RunFn>
 ScenarioResult RunLaneChecked(const char* scenario, RunFn&& run) {
-  const ScenarioResult lane1 = run(1, false, nullptr);
-  CriticalPathModel model;
-  const ScenarioResult lane4 = run(4, false, &model);
-  ScenarioResult threaded = run(4, true, nullptr);
+  const ScenarioResult lane1 = run(1, false);
+  const ScenarioResult lane4 = run(4, false);
+  ScenarioResult threaded = run(4, true);
   if (lane1.trace_hash != lane4.trace_hash || lane1.trace_hash != threaded.trace_hash) {
     std::fprintf(stderr,
                  "engine_throughput: %s trace hashes diverged across lane configs "
@@ -300,9 +257,8 @@ ScenarioResult RunLaneChecked(const char* scenario, RunFn&& run) {
     std::exit(1);
   }
   threaded.lanes = 4;
-  threaded.model_parallel_wall_s = model.critical_s();
-  threaded.model_speedup =
-      model.critical_s() > 0 ? lane1.wall_s / model.critical_s() : 0;
+  threaded.lane1_wall_s = lane1.wall_s;
+  threaded.speedup = threaded.wall_s > 0 ? lane1.wall_s / threaded.wall_s : 0;
   return threaded;
 }
 
@@ -320,8 +276,8 @@ int Main(int argc, char** argv) {
   Report("dispatch", 42, RunDispatch(42, smoke));
 
   Report("dispatch_lanes", 42,
-         RunLaneChecked("dispatch_lanes", [&](int lanes, bool threads, CriticalPathModel* model) {
-           return RunDispatchLanes(42, smoke, lanes, threads, model);
+         RunLaneChecked("dispatch_lanes", [&](int lanes, bool threads) {
+           return RunDispatchLanes(42, smoke, lanes, threads);
          }));
 
   ClusterScenario steady;
@@ -342,17 +298,18 @@ int Main(int argc, char** argv) {
 
   Report("ycsb_migration_lanes", 42,
          RunLaneChecked("ycsb_migration_lanes",
-                        [&](int lanes, bool threads, CriticalPathModel* model) {
+                        [&](int lanes, bool threads) {
                           ClusterScenario s = migration;
                           s.lanes = lanes;
                           s.lane_threads = threads;
-                          return RunCluster(42, s, model);
+                          return RunCluster(42, s);
                         }));
 
   if (!smoke) {
     // The paper-shape scaling point: 24 masters (Figure 15's cluster size)
-    // under spread YCSB-B load, sharded across 4 lanes. The model_speedup
-    // field is the acceptance number for parallel lane execution.
+    // under spread YCSB-B load, sharded across 4 lanes. The speedup field
+    // (threaded 4 lanes over one lane, measured) is the acceptance number
+    // for parallel lane execution.
     ClusterScenario fig15;
     fig15.spread = true;
     fig15.masters = 24;
@@ -362,11 +319,11 @@ int Main(int argc, char** argv) {
     fig15.stop_time = 60 * kMillisecond;
     Report("fig15_24srv_lanes", 42,
            RunLaneChecked("fig15_24srv_lanes",
-                          [&](int lanes, bool threads, CriticalPathModel* model) {
+                          [&](int lanes, bool threads) {
                             ClusterScenario s = fig15;
                             s.lanes = lanes;
                             s.lane_threads = threads;
-                            return RunCluster(42, s, model);
+                            return RunCluster(42, s);
                           }));
   }
   return 0;

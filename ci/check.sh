@@ -81,7 +81,7 @@ step "threaded lanes: 4-lane worker-thread runs match the single-lane schedule"
 # leg re-runs a slice with ASan explicitly so a lane/barrier memory bug
 # cannot hide behind a ctest filter change.
 "${ROOT}/build-asan/tests/lane_determinism_test" \
-  --gtest_filter='*_s10:*_s11:*_s12:*_s13:LaneTieBreakTest.*'
+  --gtest_filter='*_s10:*_s11:*_s12:*_s13:LaneOrderTest.*'
 
 step "engine bench smoke (~2s; trace-hash divergence is a hard failure)"
 # Compare against the recorded trajectory without mutating it: the smoke
@@ -119,9 +119,9 @@ step "test: TSan fast subset (determinism core + threaded lane barriers)"
 "${ROOT}/build-tsan/tests/sim_determinism_test"
 "${ROOT}/build-tsan/tests/rpc_test"
 # The multi-lane suite under TSan is the race gate for sharded execution:
-# every parameterized case runs 4 threaded lanes through the window/merge
-# barriers. A subset of seeds keeps the leg fast; ctest runs all 20.
+# every parameterized case runs 4 threaded lanes through the window
+# barrier. A subset of seeds keeps the leg fast; ctest runs all 20.
 "${ROOT}/build-tsan/tests/lane_determinism_test" \
-  --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneTieBreakTest.*'
+  --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneOrderTest.*'
 
 step "all checks passed"

@@ -113,7 +113,7 @@ class RamCloudClient {
   Coordinator* coordinator_;
   const CostModel* costs_;
   RpcEndpoint* endpoint_;
-  Simulator* sim_ = nullptr;  // This client's lane simulator.
+  Simulator* sim_ = nullptr;  // This client's node simulator.
   Random* rng_ = nullptr;     // This client's RNG stream.
   std::vector<TabletConfigEntry> cache_;
   // RetryState pool: states_ owns storage for the life of the client (so a

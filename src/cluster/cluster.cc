@@ -29,7 +29,7 @@ std::unique_ptr<LaneSet> MakeLanes(const ClusterConfig& config) {
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config), lanes_(MakeLanes(config)), sim_(config.seed),
-      net_(RootSim(), &config_.costs), rpc_(RootSim(), &net_, &config_.costs) {
+      net_(&sim_, &config_.costs), rpc_(&sim_, &net_, &config_.costs) {
   if (lanes_ != nullptr) {
     net_.SetLanes(lanes_.get());
     rpc_.SetLanes(lanes_.get());
@@ -37,7 +37,7 @@ Cluster::Cluster(const ClusterConfig& config)
   const int lanes = lanes_ != nullptr ? lanes_->lanes() : 1;
   // The coordinator lives on lane 0; servers and clients round-robin across
   // lanes so the paper-shape cluster (24 servers) spreads evenly.
-  coordinator_ = std::make_unique<Coordinator>(RootSim(), &rpc_, &config_.costs);
+  coordinator_ = std::make_unique<Coordinator>(&rpc_, &config_.costs);
   for (int i = 0; i < config_.num_masters; i++) {
     masters_.push_back(std::make_unique<MasterServer>(coordinator_.get(), &config_.costs,
                                                       config_.master, i % lanes));

@@ -27,11 +27,12 @@ struct ClusterConfig {
   CostModel costs;
   uint64_t seed = 42;
   // Sharded execution: > 0 runs the cluster on that many event lanes
-  // (servers/clients round-robined across them) with a deterministic merge;
-  // 0 keeps the legacy single event queue, byte-identical to prior traces.
-  // Lane-mode traces form their own hash domain: per-node RNG streams
-  // replace the shared simulator stream, so lane hashes differ from legacy
-  // hashes but are identical across lane counts and threading.
+  // (servers/clients round-robined across them) in a partition-invariant
+  // event order; 0 keeps the legacy single event queue, byte-identical to
+  // prior traces. Lane-mode traces form their own hash domain: per-node RNG
+  // streams and a (time, origin node, per-node seq) order replace the shared
+  // simulator stream and counter, so lane hashes differ from legacy hashes
+  // but are identical across lane counts and threading.
   int lanes = 0;
   // With lanes > 1: execute lanes on real worker threads. Trace hashes are
   // identical with threads on or off.
@@ -45,11 +46,11 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // The root simulator: lane 0's in sharded mode (coordinator's lane), the
-  // single shared queue otherwise. Lane-mode code that needs *a* clock may
-  // use it; scheduling cross-cutting control actions must go through
-  // AtSafePoint instead.
-  Simulator& sim() { return lanes_ != nullptr ? lanes_->lane_sim(0) : sim_; }
+  // The root simulator: the coordinator node's in sharded mode, the single
+  // shared queue otherwise. Lane-mode code that needs *a* clock may use it;
+  // scheduling cross-cutting control actions must go through AtSafePoint
+  // instead.
+  Simulator& sim() { return lanes_ != nullptr ? coordinator_->sim() : sim_; }
   Network& net() { return net_; }
   RpcSystem& rpc() { return rpc_; }
   Coordinator& coordinator() { return *coordinator_; }
@@ -98,10 +99,6 @@ class Cluster {
   static void MakeKeyInto(uint64_t id, size_t key_length, std::string* out);
 
  private:
-  // Root-context simulator access during construction (legacy: the shared
-  // queue; lane mode: lane 0). Must not be used before lanes_ is set.
-  Simulator* RootSim() { return lanes_ != nullptr ? &lanes_->lane_sim(0) : &sim_; }
-
   ClusterConfig config_;
   std::unique_ptr<LaneSet> lanes_;  // Null in legacy mode. Before sim_/net_/rpc_: they wire to it.
   Simulator sim_;                   // Legacy shared queue (idle in lane mode).

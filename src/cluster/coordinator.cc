@@ -10,12 +10,14 @@
 
 namespace rocksteady {
 
-Coordinator::Coordinator(Simulator* sim, RpcSystem* rpc, const CostModel* costs)
-    : sim_(sim), rpc_(rpc), costs_(costs) {
+Coordinator::Coordinator(RpcSystem* rpc, const CostModel* costs)
+    : rpc_(rpc), costs_(costs) {
   // The coordinator is off the data path; a small CoreSet keeps its RPC
   // handling timed without modeling a full server.
+  endpoint_ = rpc_->CreateEndpoint(nullptr);
+  sim_ = endpoint_->sim();
   cores_ = std::make_unique<CoreSet>(sim_, 2);
-  endpoint_ = rpc_->CreateEndpoint(cores_.get());
+  endpoint_->set_cores(cores_.get());
   endpoint_->Register(Opcode::kGetTableConfig,
                       ROCKSTEADY_IDEMPOTENT("pure read of the tablet map")
                       [this](RpcContext c) { HandleGetTableConfig(std::move(c)); });

@@ -74,7 +74,7 @@ struct IndexletConfig {
 
 class Coordinator {
  public:
-  Coordinator(Simulator* sim, RpcSystem* rpc, const CostModel* costs);
+  Coordinator(RpcSystem* rpc, const CostModel* costs);
   ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
@@ -265,7 +265,7 @@ class Coordinator {
   void CheckLeases();
   void RoutePiggyback(ServerId from, const PiggybackBlob& blob);
 
-  Simulator* sim_;
+  Simulator* sim_ = nullptr;  // The coordinator node's simulator.
   RpcSystem* rpc_;
   const CostModel* costs_;
   std::unique_ptr<CoreSet> cores_;

@@ -14,12 +14,13 @@ MasterServer::MasterServer(Coordinator* coordinator, const CostModel* costs,
       config_(config),
       objects_(ObjectManagerOptions{config.hash_table_log2_buckets, config.segment_size}),
       client_latency_(costs->latency_window_ns, costs->latency_window_buckets) {
-  sim_ = coordinator_->rpc().SimOfLane(lane);
+  endpoint_ = coordinator_->rpc().CreateEndpoint(nullptr, lane);
+  sim_ = endpoint_->sim();
   cores_ = std::make_unique<CoreSet>(sim_, config.num_workers);
   cores_->SetQueueBound(Priority::kClient, config.client_queue_hard_limit);
   cores_->SetQueueBound(Priority::kReplication, config.replication_queue_bound);
   cores_->SetQueueBound(Priority::kMigration, config.migration_queue_bound);
-  endpoint_ = coordinator_->rpc().CreateEndpoint(cores_.get(), lane);
+  endpoint_->set_cores(cores_.get());
   rng_ = &coordinator_->rpc().CallerRng(endpoint_->node());
   id_ = coordinator_->RegisterMaster(this);
   replicas_ = std::make_unique<ReplicaManager>(&coordinator_->rpc(), id_, endpoint_->node());

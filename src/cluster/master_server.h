@@ -221,7 +221,7 @@ class MasterServer {
   Coordinator* coordinator_;
   const CostModel* costs_;
   MasterConfig config_;
-  Simulator* sim_ = nullptr;  // This server's lane simulator.
+  Simulator* sim_ = nullptr;  // This server's node simulator.
   Random* rng_ = nullptr;     // This server's RNG stream (see rng()).
   ServerId id_ = kInvalidServerId;
   std::unique_ptr<CoreSet> cores_;

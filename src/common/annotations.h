@@ -7,10 +7,8 @@
 // state why a late duplicate execution (the at-least-once loophole: the
 // per-call_id dedup cache expires after the retention horizon) is safe.
 //
-// The macros expand to a clang annotate attribute under clang (so the
-// libclang frontend of tools/analyze.py sees them in the AST) and to nothing
-// under other compilers; the token frontend matches the macro spelling
-// directly, so both frontends enforce the same contract.
+// The macros expand to nothing; the analyzer matches their spelling in the
+// token stream.
 //
 //   ROCKSTEADY_SHARD_LOCAL
 //     This variable is (or will be, trivially) per-shard: either it is
@@ -38,19 +36,11 @@
 #ifndef ROCKSTEADY_SRC_COMMON_ANNOTATIONS_H_
 #define ROCKSTEADY_SRC_COMMON_ANNOTATIONS_H_
 
-#if defined(__clang__)
-#define ROCKSTEADY_SHARD_LOCAL [[clang::annotate("rocksteady::shard_local")]]
-#define ROCKSTEADY_SHARED_GUARDED(why) \
-  [[clang::annotate("rocksteady::shared_guarded:" why)]]
-#else
 #define ROCKSTEADY_SHARD_LOCAL
 #define ROCKSTEADY_SHARED_GUARDED(why)
-#endif
-
-// Expands to nothing everywhere: it decorates an expression position (the
-// handler argument of RpcEndpoint::Register), where no attribute is valid
-// C++. Both analyzer frontends match the spelling in the registration
-// statement's token stream.
+// Decorates an expression position (the handler argument of
+// RpcEndpoint::Register); the analyzer matches the spelling in the
+// registration statement's token stream.
 #define ROCKSTEADY_IDEMPOTENT(why)
 
 #endif  // ROCKSTEADY_SRC_COMMON_ANNOTATIONS_H_

@@ -15,7 +15,7 @@ RpcEndpoint* RpcSystem::CreateEndpoint(CoreSet* cores, int lane) {
     lanes_->AssignNode(node, lane);
     next_call_id_node_.push_back(0);
   }
-  endpoints_.push_back(std::make_unique<RpcEndpoint>(this, node, cores, SimOfLane(lane)));
+  endpoints_.push_back(std::make_unique<RpcEndpoint>(this, node, cores, SimFor(node)));
   return endpoints_.back().get();
 }
 

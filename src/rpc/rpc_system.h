@@ -91,9 +91,11 @@ class RpcEndpoint {
 
   NodeId node() const { return node_; }
   CoreSet* cores() const { return cores_; }
+  // Servers build their CoreSet on the endpoint's simulator, then attach it.
+  void set_cores(CoreSet* cores) { cores_ = cores; }
   RpcSystem* system() const { return system_; }
-  // The simulator this endpoint's events execute on (its lane's, in lane
-  // mode; the shared one otherwise).
+  // The simulator this endpoint's events execute on (its node's view of its
+  // lane, in lane mode; the shared one otherwise).
   Simulator* sim() const { return sim_; }
 
   uint64_t duplicates_suppressed() const { return duplicates_suppressed_; }
@@ -131,7 +133,7 @@ class RpcEndpoint {
   RpcSystem* system_;
   NodeId node_;
   CoreSet* cores_;  // Null for unmodeled-CPU nodes (clients).
-  Simulator* sim_;  // This endpoint's lane simulator.
+  Simulator* sim_;  // This endpoint's node simulator.
   // Filled once at server construction; opcode-indexed array so per-RPC
   // handler lookup is one load, not a hash probe.
   static constexpr size_t kMaxOpcodes = 64;
@@ -195,9 +197,8 @@ class RpcSystem {
   Network* net() const { return net_; }
   const CostModel* costs() const { return costs_; }
 
-  // The simulator owning a given lane / a given node's events. In legacy
-  // mode both collapse to the single shared simulator.
-  Simulator* SimOfLane(int lane) { return lanes_ != nullptr ? &lanes_->lane_sim(lane) : sim_; }
+  // The simulator a node schedules on: its view of its lane in lane mode,
+  // the single shared simulator otherwise.
   Simulator* SimFor(NodeId node) { return lanes_ != nullptr ? lanes_->SimFor(node) : sim_; }
   // The RNG a caller draws jitter/backoff from: the node's private stream in
   // lane mode (draws in node event order are lane-invariant), the shared

@@ -8,19 +8,35 @@
 
 namespace rocksteady {
 
+namespace {
+
+// Waits until `flag` reads `value`. A window is a few microseconds, so with
+// a core per lane it spins `spins` times before yielding the CPU; with more
+// lanes than cores spinning only delays a descheduled lane.
+void AwaitEpoch(const std::atomic<uint64_t>& flag, uint64_t value, int spins) {  // lint:allow-nondeterminism — barrier handoff only.
+  for (int spin = 0; flag.load(std::memory_order_acquire) != value; spin++) {
+    if (spin < spins) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
+}  // namespace
+
 LaneSet::LaneSet(const Config& config) : config_(config) {
   ROCKSTEADY_DCHECK_GE(config.lanes, 1);
   ROCKSTEADY_DCHECK_GE(config.lookahead, Tick{1});
   const int n = config.lanes;
   for (int l = 0; l < n; l++) {
     sims_.push_back(std::make_unique<Simulator>(Mix64(config.seed ^ static_cast<uint64_t>(l))));
-    sims_.back()->BeginLaneMode(this, l, &next_seq_);
+    sims_.back()->BeginLaneMode(this);
     slots_.push_back(std::make_unique<WorkerSlot>());
   }
-  mail_.resize(static_cast<size_t>(n) * static_cast<size_t>(n));
-  merge_cursor_.resize(static_cast<size_t>(n));
-  merge_front_time_.resize(static_cast<size_t>(n));
-  merge_front_seq_.resize(static_cast<size_t>(n));
+  mail_.resize(2 * static_cast<size_t>(n) * static_cast<size_t>(n));
 }
 
 LaneSet::~LaneSet() { StopWorkers(); }
@@ -29,36 +45,36 @@ void LaneSet::AssignNode(NodeId node, int lane) {
   ROCKSTEADY_DCHECK_GE(lane, 0);
   ROCKSTEADY_DCHECK(lane < lanes());
   ROCKSTEADY_DCHECK_EQ(static_cast<size_t>(node), lane_of_.size());
+  ROCKSTEADY_DCHECK(node < Simulator::kRootOrigin);
   lane_of_.push_back(lane);
   // One private stream per node, derived from the run seed: the stream a
   // draw comes from depends on *which node* draws, not on lane placement,
   // so the draw sequence is invariant across lane counts and threading.
   node_rng_.emplace_back(Mix64(config_.seed + 0x9E3779B97F4A7C15ull * (node + 1)));
+  Simulator* engine = sims_[static_cast<size_t>(lane)].get();
+  views_.push_back(std::unique_ptr<Simulator>(new Simulator(engine, node, &node_rng_.back())));
+  for (auto& sim : sims_) {
+    sim->nodes_.resize(lane_of_.size());
+  }
 }
 
-void LaneSet::PostCrossLane(Simulator* src, int dst_lane, Tick deliver, EventFn fn) {
-  Simulator* dst = sims_[static_cast<size_t>(dst_lane)].get();
-  if (!src->in_window_) {
-    // Root context (setup / safe-point task): every lane is parked, so the
-    // delivery can enter the destination queue directly with its canonical
-    // seq — identical to what a single lane would have scheduled.
-    ROCKSTEADY_DCHECK_GE(deliver, dst->now_);
-    Simulator::Event* e = dst->AllocEvent();
-    e->time = deliver;
-    e->seq = next_seq_++;
-    e->fn = std::move(fn);
-    dst->InsertQueued(e);
+void LaneSet::Deliver(NodeId from, NodeId to, Tick deliver, EventFn fn) {
+  const int src_lane = lane_of_[from];
+  const int dst_lane = lane_of_[to];
+  Simulator* src = sims_[static_cast<size_t>(src_lane)].get();
+  if (src_lane == dst_lane || !src->dispatching_) {
+    // Same lane, or root context (setup / safe-point task) with every lane
+    // parked: the delivery enters the destination queue directly.
+    sims_[static_cast<size_t>(dst_lane)]->LaneAt(deliver, from, std::move(fn));
     return;
   }
-  // In-window: the conservative horizon guarantees the delivery cannot land
-  // inside the current window on any lane.
-  ROCKSTEADY_DCHECK_GE(deliver, src->window_end_);
-  std::vector<CrossEntry>& cell =
-      mail_[static_cast<size_t>(src->lane_) * static_cast<size_t>(lanes()) +
-            static_cast<size_t>(dst_lane)];
-  cell.push_back(CrossEntry{deliver, 0, std::move(fn)});
-  src->LaneLogCrossOp(static_cast<uint32_t>(dst_lane),
-                      static_cast<uint32_t>(cell.size() - 1));
+  // In a window: the conservative horizon guarantees the delivery cannot
+  // land inside the current window on any lane.
+  ROCKSTEADY_DCHECK_GE(deliver, window_end_);
+  MailCell(post_buf_, src_lane, dst_lane)
+      .push_back(CrossEntry{deliver, src->LaneSeq(deliver, from), std::move(fn)});
+  WorkerSlot& slot = *slots_[static_cast<size_t>(src_lane)];
+  slot.mail_min = std::min(slot.mail_min, deliver);
 }
 
 void LaneSet::AtSafePoint(Tick t, std::function<void()> fn) {  // lint:allow-churn — cold, a handful per run.
@@ -73,13 +89,23 @@ void LaneSet::AtSafePoint(Tick t, std::function<void()> fn) {  // lint:allow-chu
 
 Tick LaneSet::GlobalMinEventTime() {
   Tick gm = kNoEvent;
-  for (auto& sim : sims_) {
+  for (int l = 0; l < lanes(); l++) {
     Tick t;
-    if (sim->PeekMinTime(&t) && t < gm) {
+    if (sims_[static_cast<size_t>(l)]->PeekMinTime(&t) && t < gm) {
       gm = t;
     }
+    gm = std::min(gm, slots_[static_cast<size_t>(l)]->mail_min);
   }
   return gm;
+}
+
+uint64_t LaneSet::trace_hash() const {
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV offset basis.
+  for (size_t node = 0; node < lane_of_.size(); node++) {
+    hash = (hash ^ sims_[static_cast<size_t>(lane_of_[node])]->nodes_[node].chain) *
+           0x100000001b3ull;
+  }
+  return (hash ^ root_chain_) * 0x100000001b3ull;
 }
 
 size_t LaneSet::events_processed() const {
@@ -90,90 +116,11 @@ size_t LaneSet::events_processed() const {
   return total;
 }
 
-void LaneSet::LoadMergeFront(int lane) {
+void LaneSet::RunLane(int lane) {
   Simulator* sim = sims_[static_cast<size_t>(lane)].get();
-  const size_t i = merge_cursor_[static_cast<size_t>(lane)];
-  if (i >= sim->win_log_.size()) {
-    merge_front_time_[static_cast<size_t>(lane)] = kNoEvent;
-    merge_front_seq_[static_cast<size_t>(lane)] = ~0ull;
-    return;
-  }
-  const Simulator::DispatchRecord& rec = sim->win_log_[i];
-  merge_front_time_[static_cast<size_t>(lane)] = rec.time;
-  merge_front_seq_[static_cast<size_t>(lane)] =
-      (rec.seq & Simulator::kProvSeqBit) != 0
-          ? sim->prov_seq_[rec.seq & ~Simulator::kProvSeqBit]
-          : rec.seq;
-}
-
-void LaneSet::MergeWindow() {
-  // K-way merge of the lanes' window dispatch logs in canonical
-  // (time, seq) order, resolving provisional seqs through each lane's
-  // prov_seq_ table. A provisional front record's parent always appears
-  // earlier in the same lane's log (only local callbacks create provisional
-  // events), so by the time a record reaches its lane's cursor its seq is
-  // resolvable — LoadMergeFront resolves each front exactly once per cursor
-  // advance. Lane counts are tiny (<= 8 in practice): a linear scan of the
-  // cached fronts beats a heap.
-  const int n = lanes();
-  for (int l = 0; l < n; l++) {
-    merge_cursor_[static_cast<size_t>(l)] = 0;
-    LoadMergeFront(l);
-  }
-  for (;;) {
-    int best = 0;
-    Tick best_time = merge_front_time_[0];
-    uint64_t best_seq = merge_front_seq_[0];
-    for (int l = 1; l < n; l++) {
-      const Tick t = merge_front_time_[static_cast<size_t>(l)];
-      const uint64_t seq = merge_front_seq_[static_cast<size_t>(l)];
-      if (t < best_time || (t == best_time && seq < best_seq)) {
-        best = l;
-        best_time = t;
-        best_seq = seq;
-      }
-    }
-    if (best_time == kNoEvent && best_seq == ~0ull) {
-      break;  // Every lane exhausted.
-    }
-    Simulator* sim = sims_[static_cast<size_t>(best)].get();
-    const Simulator::DispatchRecord& rec =
-        sim->win_log_[merge_cursor_[static_cast<size_t>(best)]++];
-    // The canonical dispatch: mix the trace exactly as the single-lane
-    // engine would have at this event's dispatch.
-    trace_hash_ = (trace_hash_ ^ best_time) * 0x100000001b3ull;
-    trace_hash_ = (trace_hash_ ^ best_seq) * 0x100000001b3ull;
-    // Assign canonical seqs to this dispatch's scheduling ops, in op order —
-    // the order the single-lane engine would have drawn them from next_seq_.
-    for (uint32_t k = 0; k < rec.op_count; k++) {
-      Simulator::OpRecord& op = sim->op_log_[rec.op_begin + k];
-      switch (op.kind) {
-        case Simulator::OpKind::kLocal:
-          sim->prov_seq_[op.index] = next_seq_++;
-          break;
-        case Simulator::OpKind::kDeferred:
-          op.deferred->seq = next_seq_++;
-          break;
-        case Simulator::OpKind::kCross:
-          mail_[static_cast<size_t>(best) * static_cast<size_t>(n) + op.dst_lane][op.index]
-              .seq = next_seq_++;
-          break;
-      }
-    }
-    // After the ops: the lane's next front may be provisional with THIS
-    // dispatch as its parent, so its seq only became resolvable just now.
-    LoadMergeFront(best);
-  }
-}
-
-void LaneSet::PostPhase(int lane) {
-  Simulator* sim = sims_[static_cast<size_t>(lane)].get();
-  sim->InsertDeferred();
-  // Adopt inbound cross-lane deliveries (canonical seqs already stamped).
-  const int n = lanes();
-  for (int src = 0; src < n; src++) {
-    std::vector<CrossEntry>& cell =
-        mail_[static_cast<size_t>(src) * static_cast<size_t>(n) + static_cast<size_t>(lane)];
+  // Adopt the previous window's inbound mail (seqs drawn by the senders).
+  for (int src = 0; src < lanes(); src++) {
+    std::vector<CrossEntry>& cell = MailCell(post_buf_ ^ 1, src, lane);
     for (CrossEntry& entry : cell) {
       Simulator::Event* e = sim->AllocEvent();
       e->time = entry.time;
@@ -183,6 +130,11 @@ void LaneSet::PostPhase(int lane) {
     }
     cell.clear();  // Capacity is retained: steady state allocates nothing.
   }
+  WorkerSlot& slot = *slots_[static_cast<size_t>(lane)];
+  slot.mail_min = kNoEvent;
+  sim->RunWindow(window_end_);
+  Tick t;
+  slot.next_time = sim->PeekMinTime(&t) ? std::min(t, slot.mail_min) : slot.mail_min;
 }
 
 void LaneSet::StartWorkers() {
@@ -190,6 +142,9 @@ void LaneSet::StartWorkers() {
     return;
   }
   workers_started_ = true;
+  // Only the handoff's speed depends on the core count, never the schedule.
+  const unsigned cores = std::thread::hardware_concurrency();  // lint:allow-nondeterminism — spin policy only.
+  spins_ = static_cast<unsigned>(lanes()) <= cores ? 512 : 0;
   for (int l = 1; l < lanes(); l++) {
     workers_.emplace_back([this, l] { WorkerLoop(l); });
   }
@@ -201,7 +156,7 @@ void LaneSet::StopWorkers() {
   }
   barrier_epoch_++;
   for (int l = 1; l < lanes(); l++) {
-    slots_[static_cast<size_t>(l)]->cmd = 3;
+    slots_[static_cast<size_t>(l)]->exit = true;
     slots_[static_cast<size_t>(l)]->go.store(barrier_epoch_, std::memory_order_release);
   }
   for (std::thread& worker : workers_) {  // lint:allow-nondeterminism — joining persistent lane workers.
@@ -215,43 +170,26 @@ void LaneSet::WorkerLoop(int lane) {
   WorkerSlot& slot = *slots_[static_cast<size_t>(lane)];
   uint64_t seen = 0;
   for (;;) {
-    while (slot.go.load(std::memory_order_acquire) == seen) {
-      std::this_thread::yield();
-    }
-    seen = slot.go.load(std::memory_order_acquire);
-    if (slot.cmd == 3) {
+    AwaitEpoch(slot.go, ++seen, spins_);
+    if (slot.exit) {
       slot.done.store(seen, std::memory_order_release);
       return;
     }
-    if (slot.cmd == 1) {
-      sims_[static_cast<size_t>(lane)]->RunWindow(slot.window_end);
-    } else {
-      PostPhase(lane);
-    }
+    RunLane(lane);
     slot.done.store(seen, std::memory_order_release);
   }
 }
 
-void LaneSet::RunLanePhase(int cmd, Tick window_end) {
-  // Fan a phase out to the workers (lanes 1..N-1), run lane 0 on the driving
-  // thread, then wait for every worker's epoch acknowledgement.
+void LaneSet::RunLanesThreaded() {
+  // Fan the window out to the workers (lanes 1..N-1), run lane 0 on the
+  // driving thread, then wait for every worker's epoch acknowledgement.
   barrier_epoch_++;
   for (int l = 1; l < lanes(); l++) {
-    WorkerSlot& slot = *slots_[static_cast<size_t>(l)];
-    slot.cmd = cmd;
-    slot.window_end = window_end;
-    slot.go.store(barrier_epoch_, std::memory_order_release);
+    slots_[static_cast<size_t>(l)]->go.store(barrier_epoch_, std::memory_order_release);
   }
-  if (cmd == 1) {
-    sims_[0]->RunWindow(window_end);
-  } else {
-    PostPhase(0);
-  }
+  RunLane(0);
   for (int l = 1; l < lanes(); l++) {
-    WorkerSlot& slot = *slots_[static_cast<size_t>(l)];
-    while (slot.done.load(std::memory_order_acquire) != barrier_epoch_) {
-      std::this_thread::yield();
-    }
+    AwaitEpoch(slots_[static_cast<size_t>(l)]->done, barrier_epoch_, spins_);
   }
 }
 
@@ -260,7 +198,12 @@ size_t LaneSet::Run() {
   RunLoop(false, 0);
   Tick end = now_;
   for (auto& sim : sims_) {
-    end = std::max(end, sim->now());
+    end = std::max(end, sim->now_);
+  }
+  // Every lane ends on the same clock: a lane's last dispatch time depends
+  // on the partition, the run's end does not.
+  for (auto& sim : sims_) {
+    sim->now_ = end;
   }
   now_ = end;
   return events_processed() - before;
@@ -284,8 +227,8 @@ void LaneSet::RunLoop(bool bounded, Tick until) {
   if (threaded) {
     StartWorkers();
   }
+  Tick gm = GlobalMinEventTime();
   for (;;) {
-    Tick gm = GlobalMinEventTime();
     // Run due safe-point tasks: everything before sp.t has executed, nothing
     // at/after sp.t has.
     while (!safe_points_.empty() && safe_points_.front().t <= gm &&
@@ -307,43 +250,51 @@ void LaneSet::RunLoop(bool bounded, Tick until) {
     if (gm == kNoEvent || (bounded && gm > until)) {
       break;
     }
-    // Conservative window: every event in [gm, E) can only produce
-    // cross-lane deliveries at/after E, so lanes run it independently.
-    Tick end = gm + config_.lookahead;
-    if (end < gm) {
-      end = kNoEvent;  // Saturate.
-    }
+    // The horizon: the next safe point, or past `until` (RunUntil is
+    // inclusive of it).
+    Tick end = kNoEvent;
     if (!safe_points_.empty()) {
-      end = std::min(end, safe_points_.front().t);
+      end = safe_points_.front().t;
     }
     if (bounded) {
-      end = std::min(end, until + 1);  // RunUntil is inclusive of `until`.
+      end = std::min(end, until + 1);
+    }
+    if (lanes() == 1) {
+      // No other lane to hear from: run straight to the horizon.
+      sims_[0]->RunWindow(end);
+      gm = GlobalMinEventTime();
+      continue;
+    }
+    // Conservative window: every event in [gm, gm + lookahead) can only
+    // produce cross-lane deliveries at/after its end, so lanes run it
+    // independently (the bound saturates near the end of time).
+    if (gm + config_.lookahead > gm) {
+      end = std::min(end, gm + config_.lookahead);
     }
     window_end_ = end;
+    post_buf_ ^= 1;
     if (threaded) {
-      RunLanePhase(1, end);
-      MergeWindow();
-      RunLanePhase(2, end);
+      RunLanesThreaded();
     } else {
       for (int l = 0; l < lanes(); l++) {
         if (hooks_.lane_begin) {
           hooks_.lane_begin(l);
         }
-        sims_[static_cast<size_t>(l)]->RunWindow(end);
+        RunLane(l);
         if (hooks_.lane_end) {
           hooks_.lane_end(l);
         }
       }
-      if (hooks_.merge_begin) {
-        hooks_.merge_begin();
-      }
-      MergeWindow();
-      if (hooks_.merge_end) {
-        hooks_.merge_end();
-      }
-      for (int l = 0; l < lanes(); l++) {
-        PostPhase(l);
-      }
+    }
+    if (!threaded && hooks_.merge_begin) {
+      hooks_.merge_begin();
+    }
+    gm = kNoEvent;
+    for (const auto& slot : slots_) {
+      gm = std::min(gm, slot->next_time);
+    }
+    if (!threaded && hooks_.merge_end) {
+      hooks_.merge_end();
     }
     windows_run_++;
   }

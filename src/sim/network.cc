@@ -25,18 +25,15 @@ void Network::ReleaseShared(size_t pool, SharedDelivery* shared) {
   p.free_list = shared;
 }
 
-void Network::ScheduleDelivery(Simulator* src, NodeId to, Tick arrive, EventFn ev) {
-  if (lanes_ != nullptr) {
-    const int dst_lane = lanes_->lane_of(to);
-    if (&lanes_->lane_sim(dst_lane) != src) {
-      // The conservative horizon guarantees arrive >= the current window's
-      // end (serialization >= net_per_message_ns, plus propagation), so the
-      // mailbox post is always legal.
-      lanes_->PostCrossLane(src, dst_lane, arrive, std::move(ev));
-      return;
-    }
+void Network::ScheduleDelivery(NodeId from, NodeId to, Tick arrive, EventFn ev) {
+  if (lanes_ == nullptr) {
+    sim_->At(arrive, std::move(ev));
+    return;
   }
-  src->At(arrive, std::move(ev));
+  // The conservative horizon guarantees arrive >= the current window's end
+  // (serialization >= net_per_message_ns, plus propagation), so a
+  // cross-lane mailbox post is always legal.
+  lanes_->Deliver(from, to, arrive, std::move(ev));
 }
 
 void Network::Send(NodeId from, NodeId to, size_t wire_bytes, NetFn on_delivery) {
@@ -72,7 +69,7 @@ void Network::Send(NodeId from, NodeId to, size_t wire_bytes, NetFn on_delivery)
 
   const Tick arrive = depart + costs_->net_propagation_ns;
   if (decision.copies == 1 && decision.extra_delay_ns[0] == 0) {
-    ScheduleDelivery(src, to, arrive, [this, to, fn = std::move(on_delivery)]() mutable {
+    ScheduleDelivery(from, to, arrive, [this, to, fn = std::move(on_delivery)]() mutable {
       if (node_down_[to]) {
         counters_[LaneOf(to)].dropped_to_down_node++;
         return;  // Dropped on the floor; RPC timeouts handle the rest.
@@ -92,7 +89,7 @@ void Network::Send(NodeId from, NodeId to, size_t wire_bytes, NetFn on_delivery)
     if (extra > 0) {
       stats.injected_delays++;
     }
-    ScheduleDelivery(src, to, arrive + extra, [this, to, shared] {
+    ScheduleDelivery(from, to, arrive + extra, [this, to, shared] {
       if (!node_down_[to]) {
         shared->fn();
       } else {

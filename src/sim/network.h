@@ -37,8 +37,6 @@
 
 namespace rocksteady {
 
-using NodeId = uint32_t;
-
 // Delivery callbacks store up to 64 capture bytes inline; the simulator
 // event wrapping one ({this, to, NetFn}) then fills EventFn's 88 exactly.
 inline constexpr size_t kNetInlineCallbackBytes = 64;
@@ -160,9 +158,9 @@ class Network {
 
   SharedDelivery* AllocShared(size_t pool);
   void ReleaseShared(size_t pool, SharedDelivery* shared);
-  // Schedules a delivery event: same-lane (and legacy) through the source
-  // simulator, cross-lane through the LaneSet mailbox.
-  void ScheduleDelivery(Simulator* src, NodeId to, Tick arrive, EventFn ev);
+  // Schedules a delivery event homed on `to`: through the shared simulator
+  // (legacy) or LaneSet::Deliver (lane mode).
+  void ScheduleDelivery(NodeId from, NodeId to, Tick arrive, EventFn ev);
 
   Simulator* sim_;
   const CostModel* costs_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/sim/lane_set.h"
+
 namespace rocksteady {
 
 // Overflow heap order: min (time, seq) at the front.
@@ -10,7 +12,10 @@ bool Simulator::EventLater(const Event* a, const Event* b) {
   return a->time != b->time ? a->time > b->time : a->seq > b->seq;
 }
 
-Simulator::Simulator(uint64_t seed) : rng_(seed) {}
+Simulator::Simulator(uint64_t seed) : buckets_(kNumBuckets), rng_(seed) {}
+
+Simulator::Simulator(Simulator* engine, NodeId node, Random* node_rng)
+    : engine_(engine), node_(node), node_rng_(node_rng) {}
 
 Simulator::~Simulator() {
   // Slab destruction runs every Event's destructor, releasing any state
@@ -169,16 +174,18 @@ void Simulator::InsertQueued(Event* e) {
 }
 
 void Simulator::At(Tick t, EventFn fn) {
+  if (engine_ != this) {
+    engine_->LaneAt(t, node_, std::move(fn));
+    return;
+  }
+  // Lane engines take events only through their nodes' views.
+  ROCKSTEADY_DCHECK(lane_set_ == nullptr);
   // Scheduling in the past would silently reorder the event ahead of
   // already-queued same-tick work; treat it as a bug, and clamp in release
   // so the clock still never rewinds.
   ROCKSTEADY_DCHECK_GE(t, now_);
   if (t < now_) {
     t = now_;
-  }
-  if (lane_mode_) {
-    LaneAt(t, std::move(fn));
-    return;
   }
   Event* e = AllocEvent();
   e->time = t;
@@ -187,82 +194,57 @@ void Simulator::At(Tick t, EventFn fn) {
   InsertQueued(e);
 }
 
-// --- Lane mode (driven by LaneSet; see lane_set.cc for the merge). ---
+// --- Lane mode (driven by LaneSet). ---
 
-void Simulator::BeginLaneMode(LaneSet* lane_set, int lane, uint64_t* lane_seq) {
-  lane_mode_ = true;
-  lane_set_ = lane_set;
-  lane_ = lane;
-  lane_seq_ = lane_seq;
+void Simulator::BeginLaneMode(LaneSet* lane_set) { lane_set_ = lane_set; }
+
+uint64_t Simulator::LaneSeq(Tick t, NodeId origin) {
+  uint64_t* chain;
+  uint64_t seq;
+  if (dispatching_) {
+    ROCKSTEADY_DCHECK(origin < kRootOrigin);
+    NodeState& node = nodes_[origin];
+    ROCKSTEADY_DCHECK(node.next_seq < (uint64_t{1} << kOriginShift));
+    seq = (static_cast<uint64_t>(origin) << kOriginShift) | node.next_seq++;
+    chain = &node.chain;
+  } else {
+    seq = (static_cast<uint64_t>(kRootOrigin) << kOriginShift) | lane_set_->root_seq_++;
+    chain = &lane_set_->root_chain_;
+  }
+  *chain = (*chain ^ t) * 0x100000001b3ull;
+  *chain = (*chain ^ seq) * 0x100000001b3ull;
+  return seq;
 }
 
-void Simulator::LaneAt(Tick t, EventFn fn) {
-  if (!in_window_) {
-    // Root context: every lane is parked (setup, a safe-point task, between
-    // runs), so the canonical counter is directly assignable — this is
-    // exactly what the single-lane engine would have done.
-    Event* e = AllocEvent();
-    e->time = t;
-    e->seq = (*lane_seq_)++;
-    e->fn = std::move(fn);
-    InsertQueued(e);
-    return;
-  }
-  if (t < window_end_) {
-    // Executes within this window: provisional seq now, canonical at merge.
-    Event* e = AllocEvent();
-    e->time = t;
-    e->seq = kProvSeqBit | static_cast<uint64_t>(prov_seq_.size());
-    e->fn = std::move(fn);
-    op_log_.push_back(
-        OpRecord{OpKind::kLocal, 0, static_cast<uint32_t>(prov_seq_.size()), nullptr});
-    prov_seq_.push_back(0);
-    InsertQueued(e);
-    return;
-  }
-  // At/past the horizon: held until the merge stamps its canonical seq.
+void Simulator::LaneAt(Tick t, NodeId origin, EventFn fn) {
+  ROCKSTEADY_DCHECK_GE(t, now_);
   Event* e = AllocEvent();
-  e->time = t;
-  e->seq = 0;
+  e->time = std::max(t, now_);
+  e->seq = LaneSeq(e->time, origin);
   e->fn = std::move(fn);
-  op_log_.push_back(OpRecord{OpKind::kDeferred, 0, 0, e});
+  InsertQueued(e);
 }
 
 size_t Simulator::RunWindow(Tick end) {
-  win_log_.clear();
-  op_log_.clear();
-  prov_seq_.clear();
-  in_window_ = true;
-  window_end_ = end;
+  dispatching_ = true;
   size_t processed = 0;
   Tick min_time;
   while (PeekMinTime(&min_time) && min_time < end) {
     Event* e = PopMin();
     ROCKSTEADY_DCHECK_GE(e->time, now_);
     now_ = e->time;
-    win_log_.push_back(
-        DispatchRecord{e->time, e->seq, static_cast<uint32_t>(op_log_.size()), 0});
-    const size_t rec = win_log_.size() - 1;
     e->fn();
-    win_log_[rec].op_count = static_cast<uint32_t>(op_log_.size()) - win_log_[rec].op_begin;
     e->fn = nullptr;
     FreeEvent(e);
     processed++;
   }
-  in_window_ = false;
+  dispatching_ = false;
   events_processed_ += processed;
   return processed;
 }
 
-void Simulator::InsertDeferred() {
-  for (const OpRecord& op : op_log_) {
-    if (op.kind == OpKind::kDeferred) {
-      InsertQueued(op.deferred);
-    }
-  }
-}
-
 size_t Simulator::Run() {
+  ROCKSTEADY_DCHECK(lane_set_ == nullptr && engine_ == this);  // Lanes run via LaneSet.
   size_t processed = 0;
   Event* e;
   while ((e = PopMin()) != nullptr) {
@@ -282,6 +264,7 @@ size_t Simulator::RunUntil(Tick t) {
   // The clock never rewinds: RunUntil into the past is a checked error and
   // a no-op in release (no events run, now() is unchanged).
   ROCKSTEADY_DCHECK_GE(t, now_);
+  ROCKSTEADY_DCHECK(lane_set_ == nullptr && engine_ == this);  // Lanes run via LaneSet.
   size_t processed = 0;
   Tick min_time;
   while (PeekMinTime(&min_time) && min_time <= t) {

@@ -14,7 +14,8 @@
 // schedule → dispatch → free cycle touches no allocator. Dispatch order is
 // identical to the old binary-heap engine: (time, seq) with seq assigned at
 // scheduling time, so equal-time events stay FIFO and trace hashes are
-// unchanged.
+// unchanged. Lane engines (src/sim/lane_set.h) reuse the queue with a
+// partition-invariant seq: (origin node, the node's own counter).
 #ifndef ROCKSTEADY_SRC_SIM_SIMULATOR_H_
 #define ROCKSTEADY_SRC_SIM_SIMULATOR_H_
 
@@ -39,6 +40,7 @@ inline constexpr size_t kEventInlineBytes = 88;
 using EventFn = InlineFunction<void(), kEventInlineBytes>;
 
 class LaneSet;
+using NodeId = uint32_t;
 
 class Simulator {
  public:
@@ -49,7 +51,7 @@ class Simulator {
 
   ~Simulator();
 
-  Tick now() const { return now_; }
+  Tick now() const { return engine_->now_; }
 
   // Schedules `fn` at absolute time `t` (>= now). Events scheduled for the
   // same tick run in scheduling order (FIFO), which keeps runs deterministic.
@@ -57,7 +59,7 @@ class Simulator {
   // clamped to now() in release builds — time never flows backwards.
   void At(Tick t, EventFn fn);
 
-  void After(Tick delay, EventFn fn) { At(now_ + delay, std::move(fn)); }
+  void After(Tick delay, EventFn fn) { At(now() + delay, std::move(fn)); }
 
   // Runs events until the queue drains. Returns the number processed.
   size_t Run();
@@ -73,22 +75,25 @@ class Simulator {
   // Order-sensitive digest of every event dispatched so far: two runs of
   // the same scenario are deterministic iff their trace hashes are equal.
   // Mixed from each event's (time, seq) at dispatch, so any divergence in
-  // scheduling order or timing changes the hash.
+  // scheduling order or timing changes the hash. (Lane mode: see
+  // LaneSet::trace_hash.)
   uint64_t trace_hash() const { return trace_hash_; }
 
-  Random& rng() { return rng_; }
+  // A node view draws from its node's private stream (LaneSet::NodeRng).
+  Random& rng() { return node_rng_ != nullptr ? *node_rng_ : rng_; }
 
   // Event-pool telemetry. In steady state the free list satisfies every
   // schedule, so slab_allocations stays flat — asserted by the allocation
-  // regression test, reported by the engine bench.
+  // regression test, reported by the engine bench. A node view reports its
+  // lane's pool.
   struct PoolStats {
     uint64_t slab_allocations = 0;  // Times the pool grew by one slab.
     uint64_t live_events = 0;       // Currently scheduled.
     uint64_t free_events = 0;       // Pooled, ready for reuse.
   };
   PoolStats pool_stats() const {
-    return PoolStats{slab_allocations_, ring_count_ + overflow_.size(),
-                     free_count_};
+    return PoolStats{engine_->slab_allocations_, engine_->ring_count_ + engine_->overflow_.size(),
+                     engine_->free_count_};
   }
 
  private:
@@ -99,7 +104,10 @@ class Simulator {
   // events, the free-list thread (next only).
   struct Event {
     Tick time = 0;
-    uint64_t seq = 0;  // Tie-break so equal-time events stay FIFO.
+    // Tie-break so equal-time events stay FIFO: one global counter in the
+    // legacy engine; (origin node << kOriginShift) | the origin's own
+    // counter in a lane engine (see LaneSeq).
+    uint64_t seq = 0;
     Event* prev = nullptr;
     Event* next = nullptr;
     EventFn fn;
@@ -131,52 +139,35 @@ class Simulator {
   }
 
   // --- Lane mode (see src/sim/lane_set.h). ---
-  // When this simulator is one lane of a LaneSet, events execute in
-  // conservative windows [start, window_end_) and every At() made inside a
-  // window is *logged* so the LaneSet's merge can reconstruct the canonical
-  // single-lane sequence numbers. Three op shapes exist:
-  //  * kLocal:    the event executes within this window. It enters the queue
-  //               under a provisional seq (kProvSeqBit | index); the merge
-  //               writes the canonical value into prov_seq_[index].
-  //  * kDeferred: the event's time is at/past the horizon. It is held out of
-  //               the queue until the merge stamps its canonical seq, then
-  //               inserted before the next window.
-  //  * kCross:    a cross-lane Network send. It sits in the LaneSet mailbox
-  //               cell (dst_lane, index); the merge stamps its seq there.
-  // A provisional seq compares greater than every canonical seq, which is
-  // exactly the canonical same-tick order: an event scheduled during the
-  // window always has a later canonical seq than anything queued before it.
-  static constexpr uint64_t kProvSeqBit = 1ull << 63;
-  enum class OpKind : uint8_t { kLocal, kDeferred, kCross };
-  struct OpRecord {
-    OpKind kind;
-    uint32_t dst_lane = 0;  // kCross: destination lane.
-    uint32_t index = 0;     // kLocal: prov_seq_ slot; kCross: mailbox slot.
-    Event* deferred = nullptr;  // kDeferred: the held event.
-  };
-  struct DispatchRecord {
-    Tick time;
-    uint64_t seq;  // Raw (possibly provisional) seq at dispatch.
-    uint32_t op_begin;
-    uint32_t op_count;
+  // A lane engine is one lane's queue; nothing schedules on it directly.
+  // Every node placed on the lane gets a *view*: a Simulator whose At()
+  // schedules onto the engine with the node as the event's origin, whose
+  // now() is the engine's clock and whose rng() is the node's stream.
+  // Events order by (time, origin, origin's seq); root contexts (setup,
+  // safe-point tasks, code between runs) use kRootOrigin, which sorts after
+  // every node.
+  static constexpr int kOriginShift = 40;
+  static constexpr uint32_t kRootOrigin = (1u << (64 - kOriginShift)) - 1;
+
+  // A node's scheduling state, kept on the node's lane: its counter and its
+  // trace-hash chain (FNV-1a over (time, seq) of every event it schedules).
+  struct NodeState {
+    uint64_t next_seq = 0;
+    uint64_t chain = 0xcbf29ce484222325ull;
   };
 
-  // Puts this simulator in lane mode: At() routes through LaneAt(), and
-  // canonical seqs come from the LaneSet's shared counter.
-  void BeginLaneMode(LaneSet* lane_set, int lane, uint64_t* lane_seq);
-  // Runs every queued event with time < `end` without mixing the trace
-  // (the merge does, in canonical order). Returns events dispatched.
+  // A node view onto `engine`.
+  Simulator(Simulator* engine, NodeId node, Random* node_rng);
+
+  void BeginLaneMode(LaneSet* lane_set);
+  // Draws the seq of a lane event at `t` scheduled by `origin` — or, in
+  // root context (every lane parked), by kRootOrigin — and mixes it into
+  // the scheduler's chain.
+  uint64_t LaneSeq(Tick t, NodeId origin);
+  void LaneAt(Tick t, NodeId origin, EventFn fn);
+  // Dispatches every queued event with time < `end`. Returns events
+  // dispatched.
   size_t RunWindow(Tick end);
-  // Lane-mode scheduling (root / in-window / deferred; see above).
-  void LaneAt(Tick t, EventFn fn);
-  // Records a cross-lane send op made by the current in-window callback.
-  void LaneLogCrossOp(uint32_t dst_lane, uint32_t index) {
-    ROCKSTEADY_DCHECK(in_window_);
-    op_log_.push_back(OpRecord{OpKind::kCross, dst_lane, index, nullptr});
-  }
-  // Inserts deferred events (canonical seqs stamped by the merge) into the
-  // queue; called between windows.
-  void InsertDeferred();
 
   Event* AllocEvent();
   void FreeEvent(Event* e);
@@ -195,13 +186,17 @@ class Simulator {
   // Time of the earliest event without popping or sliding the window.
   bool PeekMinTime(Tick* t);
 
+  Simulator* engine_ = this;  // A view's lane engine; `this` for engines.
+  NodeId node_ = 0;           // A view's node.
+  Random* node_rng_ = nullptr;
+
   Tick now_ = 0;
   uint64_t next_seq_ = 0;
   size_t events_processed_ = 0;
   uint64_t trace_hash_ = 0xcbf29ce484222325ull;  // FNV offset basis.
 
-  // Ring + overflow queue state.
-  std::vector<BucketList> buckets_{kNumBuckets};
+  // Ring + overflow queue state (empty in views).
+  std::vector<BucketList> buckets_;
   std::array<uint64_t, kOccupancyWords> occupancy_{};
   uint64_t win_base_ = 0;  // Absolute bucket number of the window's start.
   uint64_t scan_ab_ = 0;   // Monotone scan cursor (absolute bucket number).
@@ -214,18 +209,11 @@ class Simulator {
   uint64_t slab_allocations_ = 0;
   uint64_t free_count_ = 0;
 
-  // Lane-mode state (inert in the default single-lane configuration). All of
-  // it is owned by this lane's worker except where the LaneSet merge writes
-  // canonical seqs between window phases (barrier-ordered, see lane_set.cc).
-  bool lane_mode_ = false;
-  bool in_window_ = false;
-  int lane_ = 0;
-  Tick window_end_ = 0;
+  // Lane-engine state, owned by the lane's worker while it runs and by the
+  // driver while every lane is parked.
   LaneSet* lane_set_ = nullptr;
-  uint64_t* lane_seq_ = nullptr;  // LaneSet's canonical sequence counter.
-  std::vector<DispatchRecord> win_log_;  // This window's dispatches, in order.
-  std::vector<OpRecord> op_log_;         // This window's scheduling ops.
-  std::vector<uint64_t> prov_seq_;       // Provisional slot -> canonical seq.
+  bool dispatching_ = false;      // Inside RunWindow (not root context).
+  std::vector<NodeState> nodes_;  // By NodeId; only this lane's nodes are used.
 
   Random rng_;
 };

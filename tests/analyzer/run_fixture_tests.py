@@ -153,9 +153,10 @@ class InventoryTests(unittest.TestCase):
              if s["annotation"] == "MISSING"], ["g_posts"])
 
     def test_lane_structures_appear_in_src_inventory(self):
-        # The sharded-execution structures themselves: cross-lane mailboxes,
-        # the safe-horizon window bound, the canonical seq counter, worker
-        # slots, and the per-lane shards in Network/RpcSystem/FaultInjector.
+        # The sharded-execution structures themselves: cross-lane mailboxes
+        # and their posting buffer, the safe-horizon window bound, the
+        # root-context seq counter, worker slots, and the per-lane shards in
+        # Network/RpcSystem/FaultInjector.
         inventory = self._inventory_for([
             REPO / "src" / "sim" / "lane_set.h",
             REPO / "src" / "sim" / "network.h",
@@ -164,7 +165,7 @@ class InventoryTests(unittest.TestCase):
         ])
         members = {s["name"] for s in inventory["sites"]
                    if s["kind"] == "member"}
-        for required in ("mail_", "window_end_", "next_seq_", "slots_",
+        for required in ("mail_", "post_buf_", "window_end_", "root_seq_", "slots_",
                          "pools_", "counters_", "pending_lanes_",
                          "sender_rng_"):
             self.assertIn(required, members,
@@ -184,7 +185,7 @@ class DriverTests(unittest.TestCase):
 
     def test_fixtures_fail_the_gate(self):
         with tempfile.TemporaryDirectory() as tmp:
-            proc = self._run([str(FIXTURES), "--frontend", "tokens",
+            proc = self._run([str(FIXTURES),
                               "--no-baseline", "--build-dir", tmp,
                               "--json", f"{tmp}/findings.json"])
             self.assertEqual(proc.returncode, 1, proc.stderr)
@@ -199,7 +200,7 @@ class DriverTests(unittest.TestCase):
                 "constexpr int kAnswer = 42;\n"
                 "int Twice(int value) { return value + value; }\n"
                 "}  // namespace rocksteady\n", encoding="utf-8")
-            proc = self._run([str(clean), "--frontend", "tokens",
+            proc = self._run([str(clean),
                               "--no-baseline", "--build-dir", tmp])
             self.assertEqual(proc.returncode, 0,
                              proc.stderr + proc.stdout)
@@ -212,12 +213,12 @@ class DriverTests(unittest.TestCase):
                 "int g_mutable = 0;\n"
                 "}  // namespace rocksteady\n", encoding="utf-8")
             baseline = Path(tmp) / "baseline.json"
-            wrote = self._run([str(dirty), "--frontend", "tokens",
+            wrote = self._run([str(dirty),
                                "--build-dir", tmp,
                                "--baseline", str(baseline),
                                "--write-baseline"])
             self.assertEqual(wrote.returncode, 0, wrote.stderr)
-            gated = self._run([str(dirty), "--frontend", "tokens",
+            gated = self._run([str(dirty),
                                "--build-dir", tmp,
                                "--baseline", str(baseline)])
             self.assertEqual(gated.returncode, 0, gated.stderr)

@@ -4,15 +4,19 @@
 // seed — never of the lane count or of whether lanes execute on real worker
 // threads. This drives full cluster scenarios (plain YCSB-B, YCSB-B with a
 // mid-run Rocksteady migration, YCSB-B under injected fabric faults) at
-// lanes {1, 2, 4} x threads {off, on} across 20 seeds and asserts every
-// digest — trace hash, event count, end time, client/migration/fault
-// counters, final object placement — is bit-identical.
+// lanes {1, 2, 4} x threads {off, on} across 20 seeds (the migration
+// scenario also at 8 threaded lanes, oversubscribing a small host on
+// purpose so the barrier runs under preemption) and asserts every digest —
+// trace hash, event count, end time, client/migration/fault counters, final
+// object placement — is bit-identical.
 //
 // Lane-mode traces are their own hash domain (per-node RNG streams replace
 // the shared simulator stream), so these hashes are not compared against
 // legacy single-queue runs; sim_determinism_test continues to pin those.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,7 +42,6 @@ struct LaneDigest {
   uint64_t trace_hash = 0;
   size_t events = 0;
   Tick end_time = 0;
-  uint64_t windows = 0;
   uint64_t client_completed = 0;
   uint64_t client_failed = 0;
   uint64_t records_pulled = 0;
@@ -69,8 +72,8 @@ LaneDigest RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads
   Cluster cluster(config);
   if (kind == Scenario::kFaults) {
     // Per-sender fault streams: each node's drop/duplicate/delay draws
-    // depend only on that node's send order, which the canonical merge keeps
-    // lane-count- and thread-invariant.
+    // depend only on that node's send order, which the partition-invariant
+    // event order keeps lane-count- and thread-invariant.
     injector.EnablePerSenderStreams(1 + cluster.num_masters() + cluster.num_clients());
     cluster.net().SetFaultInjector(&injector);
   }
@@ -113,7 +116,6 @@ LaneDigest RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads
   digest.trace_hash = cluster.trace_hash();
   digest.events = cluster.events_processed();
   digest.end_time = cluster.now();
-  digest.windows = cluster.lanes() != nullptr ? cluster.lanes()->windows_run() : 0;
   for (const auto& actor : actors) {
     digest.client_completed += actor->completed();
     digest.client_failed += actor->failed();
@@ -161,6 +163,9 @@ TEST_P(LaneDeterminismTest, HashesIdenticalAcrossLaneCountsAndThreads) {
     const LaneDigest threaded = RunLaneScenario(kind, seed, lanes, true);
     EXPECT_EQ(threaded, reference) << "lanes=" << lanes << " threaded diverged";
   }
+  if (kind == Scenario::kMigration) {
+    EXPECT_EQ(RunLaneScenario(kind, seed, 8, true), reference) << "lanes=8 threaded diverged";
+  }
 }
 
 std::string LaneParamName(const testing::TestParamInfo<std::tuple<Scenario, uint64_t>>& info) {
@@ -181,44 +186,125 @@ TEST(LaneDeterminismTest, DifferentSeedsDiverge) {
   EXPECT_NE(a.trace_hash, b.trace_hash);
 }
 
-// Same-timestamp cross-lane deliveries tie-break on canonical sequence — the
-// order the single-lane engine would have scheduled them (sender dispatch
-// order), never on lane index or mailbox drain order.
-TEST(LaneTieBreakTest, SameTimestampCrossLaneOrderFollowsCanonicalSeq) {
+// Same-timestamp events order by (origin node, the origin's own counter),
+// with root contexts (setup, safe-point tasks) after every node — never by
+// lane index, mailbox drain order, scheduling time or threading.
+TEST(LaneOrderTest, SameTimestampOrderIsOriginThenOriginSeq) {
   std::vector<std::string> reference;
   for (const int lanes : {1, 2, 3}) {
     for (const bool threads : {false, true}) {
       LaneSet::Config config;
       config.lanes = lanes;
       config.threads = threads;
-      config.lookahead = 100;
+      config.lookahead = 10;
       config.seed = 1;
       LaneSet set(config);
-      auto lane = [&](int l) -> Simulator& { return set.lane_sim(l % lanes); };
+      for (NodeId n = 0; n < 4; n++) {
+        set.AssignNode(n, static_cast<int>(n) % lanes);
+      }
+      // Every recorded event runs on node 0, so `order` has one writer.
       std::vector<std::string> order;
-      // Root-context setup: two senders on (nominally) different lanes, one
-      // receiver on a third. The t=5 sender dispatches before the t=10
-      // sender, so its same-timestamp delivery must run first — even though
-      // it comes from the higher lane index and is posted second here.
-      lane(1).At(10, [&] {
-        set.PostCrossLane(&lane(1), 2 % lanes, 150, [&] { order.push_back("from-t10"); });
+      auto note = [&order](const char* tag) { return [&order, tag] { order.push_back(tag); }; };
+      // Root-scheduled first, but root origins sort after every node.
+      set.SimFor(0)->At(150, note("root"));
+      // Node 3 sends before node 1; node 1 sends twice (FIFO by its seq).
+      set.SimFor(3)->At(5, [&] { set.Deliver(3, 0, 150, note("from-n3")); });
+      set.SimFor(1)->At(10, [&] {
+        set.Deliver(1, 0, 150, note("from-n1-a"));
+        set.Deliver(1, 0, 150, note("from-n1-b"));
       });
-      lane(2).At(5, [&] {
-        set.PostCrossLane(&lane(2), 2 % lanes, 150, [&] { order.push_back("from-t5"); });
+      // Node 0 schedules its own tick-150 event last, yet has the lowest id.
+      set.SimFor(0)->At(100, [&] { set.SimFor(0)->At(150, note("self")); });
+      // A safe-point task starts a chain on node 2 (root origin); the chain's
+      // second step runs with node 2 as origin and sends.
+      set.AtSafePoint(120, [&] {
+        set.SimFor(2)->At(125, [&] {
+          set.SimFor(2)->At(130, [&] { set.Deliver(2, 0, 150, note("from-n2-chain")); });
+        });
       });
-      // A root-scheduled event at the same timestamp was seq-stamped at
-      // setup, before either cross op — it must run first of the three.
-      lane(2).At(150, [&] { order.push_back("root-t150"); });
       set.Run();
-      ASSERT_EQ(order.size(), 3u) << "lanes=" << lanes << " threads=" << threads;
-      EXPECT_EQ(order[0], "root-t150");
-      EXPECT_EQ(order[1], "from-t5");
-      EXPECT_EQ(order[2], "from-t10");
+      const std::vector<std::string> expected = {"self",          "from-n1-a", "from-n1-b",
+                                                 "from-n2-chain", "from-n3",   "root"};
+      EXPECT_EQ(order, expected) << "lanes=" << lanes << " threads=" << threads;
+      EXPECT_EQ(set.events_processed(), 11u);
       if (reference.empty()) {
         reference = order;
-      } else {
-        EXPECT_EQ(order, reference) << "lanes=" << lanes << " threads=" << threads;
       }
+      EXPECT_EQ(order, reference) << "lanes=" << lanes << " threads=" << threads;
+    }
+  }
+}
+
+struct RunDigest {
+  uint64_t trace_hash;
+  size_t events;
+  Tick now;
+  friend bool operator==(const RunDigest&, const RunDigest&) = default;
+};
+
+// Mail still in flight when RunUntil returns is adopted by the next run,
+// after a safe-point task has scheduled new work in between.
+TEST(LaneOrderTest, MailInFlightAcrossRunUntilAndSafePointWork) {
+  constexpr int kNodes = 8;
+  std::vector<RunDigest> reference;
+  for (const int lanes : {1, 2, 4, 8}) {
+    for (const bool threads : {false, true}) {
+      LaneSet::Config config;
+      config.lanes = lanes;
+      config.threads = threads;
+      config.lookahead = 20;
+      config.seed = 7;
+      LaneSet set(config);
+      for (NodeId n = 0; n < kNodes; n++) {
+        set.AssignNode(n, static_cast<int>(n) % lanes);
+      }
+      // Relay hops: node n forwards to 3n + 1 (mod 8) after 20 + n ns, and
+      // every fourth hop also schedules a local tick after 7 ns. Counters
+      // are per node, so each has one writer.
+      std::vector<uint64_t> sent(kNodes, 0);
+      std::vector<uint64_t> delivered(kNodes, 0);
+      std::vector<uint64_t> hops(kNodes, 0);
+      Tick stop = 1'500;
+      std::function<void(NodeId, bool)> hop = [&](NodeId at, bool relayed) {
+        hops[at]++;
+        delivered[at] += relayed ? 1 : 0;
+        Simulator* sim = set.SimFor(at);
+        if (sim->now() >= stop) {
+          return;
+        }
+        const NodeId next = (3 * at + 1) % kNodes;
+        sent[at]++;
+        set.Deliver(at, next, sim->now() + 20 + at, [&hop, next] { hop(next, true); });
+        if (hops[at] % 4 == 0) {
+          sim->At(sim->now() + 7, [&hops, at] { hops[at]++; });
+        }
+      };
+      for (NodeId n = 0; n < kNodes; n++) {
+        set.SimFor(n)->At(n, [&hop, n] { hop(n, false); });
+      }
+      auto total = [](const std::vector<uint64_t>& v) {
+        return std::accumulate(v.begin(), v.end(), uint64_t{0});
+      };
+      std::vector<RunDigest> digests;
+      set.RunUntil(1'000);
+      EXPECT_GT(total(sent), total(delivered)) << "no mail in flight, lanes=" << lanes;
+      digests.push_back({set.trace_hash(), set.events_processed(), set.now()});
+      set.AtSafePoint(1'010, [&] {
+        stop = 2'500;
+        for (NodeId n = 0; n < kNodes; n += 2) {
+          set.SimFor(n)->At(1'013, [&hop, n] { hop(n, false); });
+          set.Deliver(n, n + 1, 1'040, [&hop, n] { hop(n + 1, false); });
+        }
+      });
+      set.RunUntil(2'000);
+      digests.push_back({set.trace_hash(), set.events_processed(), set.now()});
+      set.Run();
+      digests.push_back({set.trace_hash(), set.events_processed(), set.now()});
+      EXPECT_EQ(total(sent), total(delivered));
+      if (reference.empty()) {
+        reference = digests;
+      }
+      EXPECT_EQ(digests, reference) << "lanes=" << lanes << " threads=" << threads;
     }
   }
 }

@@ -3,10 +3,14 @@
 
 The JSON file is the engine's perf trajectory: each entry is one labeled run
 (a list of per-scenario results straight from the bench's JSON-lines
-output). The first full entry in the file is the baseline; later runs are
-reported as speedups against it, and their trace hashes are checked against
-it — an engine optimization that changes the event schedule is a determinism
-bug, and this runner is the first place it shows up.
+output). The baseline is the first entry (full or smoke, matching this run)
+labelled with the file's "hash_baseline" — or simply the first such entry
+when no label is set. Later runs are reported as speedups against it, and
+their trace hashes are checked against it — an engine optimization that
+changes the event schedule is a determinism bug, and this runner is the
+first place it shows up. A *declared* hash-domain change records its runs
+with --mark-baseline, which points "hash_baseline" at the new label; older
+entries stay in the file.
 
 Exit status: nonzero if the bench binary is missing or crashes. Perf
 regressions only WARN (perf moves for legitimate reasons). Trace-hash
@@ -18,6 +22,7 @@ on a later gate to notice.
 Usage:
   tools/bench_baseline.py --build-dir build --label pre_overhaul
   tools/bench_baseline.py --build-dir build --smoke --strict-hash
+  tools/bench_baseline.py --build-dir build --label new_domain --mark-baseline
 """
 
 import argparse
@@ -34,9 +39,10 @@ def load_trajectory(path: Path) -> dict:
     return {"entries": []}
 
 
-def first_entry(trajectory: dict, smoke: bool):
+def baseline_entry(trajectory: dict, smoke: bool):
+    label = trajectory.get("hash_baseline")
     for entry in trajectory["entries"]:
-        if entry.get("smoke", False) == smoke:
+        if entry.get("smoke", False) == smoke and label in (None, entry["label"]):
             return entry
     return None
 
@@ -59,6 +65,9 @@ def main() -> int:
     parser.add_argument("--strict-hash", action="store_true",
                         help="exit nonzero if any trace_hash diverges from "
                              "the baseline entry")
+    parser.add_argument("--mark-baseline", action="store_true",
+                        help="make this entry's label the hash baseline "
+                             "(a declared trace-hash domain change)")
     args = parser.parse_args()
 
     repo = Path(__file__).resolve().parent.parent
@@ -89,7 +98,9 @@ def main() -> int:
         return 1
 
     trajectory = load_trajectory(output)
-    baseline = first_entry(trajectory, args.smoke)
+    if args.mark_baseline:
+        trajectory["hash_baseline"] = args.label
+    baseline = baseline_entry(trajectory, args.smoke)
     if baseline is None and args.strict_hash:
         # Without a baseline the hash check is vacuous; failing here keeps
         # the CI gate honest instead of silently passing.
