@@ -3,9 +3,10 @@
 #  1. RelWithDebInfo with -Werror and ASan+UBSan (full suite + chaos runs),
 #  2. Debug with -Werror and ROCKSTEADY_AUDIT=ON (DCHECKs + invariant audits
 #     enabled, death tests active),
-#  3. RelWithDebInfo with TSan (fast subset: the determinism core plus the
+#  3. RelWithDebInfo with TSan (fast subset: the determinism core, the
 #     threaded-lane suite, which drives real worker threads through the
-#     lane barriers — the sharded-execution race gate).
+#     lane barriers — the sharded-execution race gate — and the parallel
+#     bulk load).
 # Run from anywhere; builds land in build-asan/, build-audit/ and
 # build-tsan/ under the repo root. Any failure aborts with a nonzero exit.
 set -euo pipefail
@@ -115,7 +116,7 @@ cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
   -DROCKSTEADY_SANITIZE=thread
 cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
 
-step "test: TSan fast subset (determinism core + threaded lane barriers)"
+step "test: TSan fast subset (determinism core + threaded lane barriers + bulk load)"
 "${ROOT}/build-tsan/tests/sim_determinism_test"
 "${ROOT}/build-tsan/tests/rpc_test"
 # The multi-lane suite under TSan is the race gate for sharded execution:
@@ -123,5 +124,9 @@ step "test: TSan fast subset (determinism core + threaded lane barriers)"
 # barrier. A subset of seeds keeps the leg fast; ctest runs all 20.
 "${ROOT}/build-tsan/tests/lane_determinism_test" \
   --gtest_filter='*_s0:*_s1:*_s2:*_s3:*_s4:*_s5:*_s6:*_s7:LaneOrderTest.*'
+# Cluster::LoadTable loads masters and seeds backups on worker threads; the
+# bulk-load suite drives it at 24 masters (more owners than cores) and on a
+# threaded-lane cluster.
+"${ROOT}/build-tsan/tests/bulk_load_test"
 
 step "all checks passed"

@@ -25,6 +25,12 @@ class BackupService {
   void Write(ServerId master, uint32_t segment_id, uint32_t offset, const uint8_t* data,
              size_t length, bool seal);
 
+  // Makes room for `length` bytes in (master, segment_id)'s replica
+  // (creating it empty if absent), so that an in-order Write of those bytes
+  // does not allocate. Callers follow it with that Write: an empty replica
+  // still counts in segment_count() and GetRecoveryData().
+  void Reserve(ServerId master, uint32_t segment_id, size_t length);
+
   // All replica segments held for `master` with id >= min_segment_id.
   std::vector<RecoverySegment> GetRecoveryData(ServerId master, uint32_t min_segment_id) const;
 

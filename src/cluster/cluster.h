@@ -86,11 +86,20 @@ class Cluster {
   // `value_length`-byte values into whichever masters own them, then seeds
   // the backups with the resulting segments (as if the loads had been
   // durable writes).
+  //
+  // The load runs on up to hardware_concurrency() threads yet its result is
+  // byte-identical to writing records 0..n-1 one after another: a pre-pass
+  // sorts the ids by owner, and each loader thread takes whole masters and
+  // writes each master's ids in ascending order. A master's segment ids and
+  // bytes, hash-table slot order and version horizon depend only on the
+  // order of its own writes, which this preserves. Seeding then runs per
+  // backup server; a backup's replica map is keyed (master, segment), so its
+  // contents do not depend on the order masters are copied in.
+  //
+  // Aborts with a message, in every build type, when a record has no owning
+  // tablet (checked before anything is written) or a write fails (e.g. a
+  // record larger than a segment).
   void LoadTable(TableId table, uint64_t num_records, size_t key_length, size_t value_length);
-
-  // Copies every main-log segment of master `i` to its backups (used after
-  // direct bulk loads).
-  void SeedReplicas(size_t master_index);
 
   // Deterministic fixed-length keys ("user" + zero-padded id).
   static std::string MakeKey(uint64_t id, size_t key_length);
@@ -99,6 +108,9 @@ class Cluster {
   static void MakeKeyInto(uint64_t id, size_t key_length, std::string* out);
 
  private:
+  // Copies every main-log segment of every master to that master's backups.
+  void SeedReplicas();
+
   ClusterConfig config_;
   std::unique_ptr<LaneSet> lanes_;  // Null in legacy mode. Before sim_/net_/rpc_: they wire to it.
   Simulator sim_;                   // Legacy shared queue (idle in lane mode).

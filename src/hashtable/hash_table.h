@@ -1,9 +1,11 @@
 // The master's primary-key index: key hash -> log reference.
 //
-// Modeled on RAMCloud's hash table: a power-of-two array of cache-line
-// buckets, each holding a fixed number of (hash, ref) slots plus an overflow
-// chain. The bucket index is the *top* bits of the key hash, so a contiguous
-// range of the key-hash space is a contiguous range of buckets — exactly the
+// Modeled on RAMCloud's hash table: a power-of-two array of buckets, each
+// holding a fixed number of (hash, ref) slots plus an overflow chain. A
+// bucket is 144 B (8 hashes, 8 refs, a count and the chain pointer): more
+// than two 64 B cache lines, where RAMCloud packs a bucket into one. The
+// bucket index is the *top* bits of the key hash, so a contiguous range of
+// the key-hash space is a contiguous range of buckets — exactly the
 // property Rocksteady's Pull partitioning relies on (§3.1.1: concurrent
 // Pulls work on "disjoint regions of the source's key hash space (and,
 // consequently, disjoint regions of the source's hash table)").

@@ -119,11 +119,6 @@ class Log {
   // against — a migration target's side logs occupy DRAM before commit.
   uint64_t allocated_bytes() const;
 
-  // Observer invoked with (ref, entry) after every append to the main log
-  // (not side logs); the ReplicaManager hooks this to replicate new data.
-  using AppendObserver = std::function<void(LogRef, const LogEntryView&)>;
-  void set_append_observer(AppendObserver observer) { append_observer_ = std::move(observer); }
-
   // Invariants: segment ids strictly increasing and below the allocation
   // cursor, committed (non-head) segments sealed, every owned segment
   // registered, registry covers at least the owned segments (the surplus is
@@ -142,7 +137,6 @@ class Log {
   // Every live segment (main + uncommitted side) by id, for Read().
   std::unordered_map<uint32_t, Segment*> registry_;
   LogStats stats_;
-  AppendObserver append_observer_;
 };
 
 }  // namespace rocksteady
