@@ -164,7 +164,7 @@ struct ClusterScenario {
   bool spread = false;             // Spread the table across all masters.
   int masters = 4;
   int clients = 2;
-  int lanes = 0;                   // > 0: sharded execution on that many lanes.
+  int lanes = 1;
   bool lane_threads = false;
 };
 
@@ -203,18 +203,10 @@ ScenarioResult RunCluster(uint64_t seed, const ClusterScenario& scenario) {
 
   std::optional<MigrationStats> stats;
   if (scenario.migrate_at.has_value()) {
-    if (scenario.lanes > 0) {
-      // Lane mode: cross-cutting control actions go through safe points.
-      cluster.AtSafePoint(*scenario.migrate_at, [&] {
-        StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
-                                 [&](const MigrationStats& s) { stats = s; });
-      });
-    } else {
-      cluster.sim().At(*scenario.migrate_at, [&] {
-        StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
-                                 [&](const MigrationStats& s) { stats = s; });
-      });
-    }
+    cluster.AtSafePoint(*scenario.migrate_at, [&] {
+      StartRocksteadyMigration(&cluster, kTable, kMid, ~0ull, 0, 1, RocksteadyOptions{},
+                               [&](const MigrationStats& s) { stats = s; });
+    });
   }
 
   ScenarioResult result;

@@ -71,7 +71,7 @@ RunResult RunMode(bool pacing) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   RocksteadyOptions options;
   options.adaptive_pacing = pacing;
@@ -116,7 +116,7 @@ RunResult RunMode(bool pacing) {
     sim.After(burst ? kBurstGap : kTroughGap, pump);
   };
   sim.After(kBurstGap, pump);
-  sim.Run();
+  cluster.Run();
 
   result.client_sheds = cluster.master(0).client_sheds();
   for (size_t c = 0; c < cluster.num_clients(); c++) {

@@ -84,7 +84,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
   Cluster cluster(config);
   cluster.net().SetFaultInjector(&injector);
   EnableMigration(&cluster);
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   // Standbys join the server list but own nothing until activated.
   const size_t active = spec.masters - spec.standbys;
@@ -249,10 +249,15 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
   };
   sim.After(spec.op_gap, pump);
 
-  sim.RunUntil(spec.horizon);
+  cluster.RunUntil(spec.horizon);
   planner.Stop();
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  // Bounded drain: a healthy run goes idle within ~10 ms of the horizon.
+  cluster.RunUntil(spec.horizon + 100 * kMillisecond);
+  result.drained = cluster.Idle();
+  if (!result.drained) {
+    return result;
+  }
 
   // Operations convergence: every uncancelled drain reached decommissioned,
   // and a requested rolling restart ran to completion.
@@ -303,10 +308,10 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
       }
     });
     if (i % 64 == 63) {
-      sim.Run();
+      cluster.Run();
     }
   }
-  sim.Run();
+  cluster.Run();
 
   for (auto& phase : phases) {
     std::sort(phase.latencies.begin(), phase.latencies.end());
@@ -318,8 +323,8 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, uint64_t seed) {
     result.digest.phases.push_back(std::move(out));
   }
 
-  result.digest.trace_hash = sim.trace_hash();
-  result.digest.events_processed = sim.events_processed();
+  result.digest.trace_hash = cluster.trace_hash();
+  result.digest.events_processed = cluster.events_processed();
   result.digest.drains_completed = cluster.coordinator().drains_completed();
   result.digest.restarts_completed = orchestrator.stats().restarts_completed;
   result.digest.migrations_completed = planner.stats().migrations_completed +

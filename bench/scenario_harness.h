@@ -108,6 +108,8 @@ struct ScenarioResult {
   bool audits_ok = false;       // Coordinator tiling + per-master stores.
   std::string audit_summary;
   bool operations_converged = false;  // Drains decommissioned, restarts done.
+  // Idle within 100 ms of the horizon; a run that is not stops there.
+  bool drained = false;
 };
 
 // Runs one scenario at one seed. Deterministic: same inputs, same Digest.

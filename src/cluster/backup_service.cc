@@ -31,7 +31,7 @@ std::vector<RecoverySegment> BackupService::GetRecoveryData(ServerId master,
   std::vector<RecoverySegment> result;
   for (const auto& [key, replica] : segments_) {
     if (key.first == master && key.second >= min_segment_id) {
-      result.push_back(RecoverySegment{key.second, replica.data});
+      result.push_back(RecoverySegment{key.second, replica.data, replica.sealed});
     }
   }
   return result;

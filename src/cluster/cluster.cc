@@ -15,9 +15,11 @@ namespace rocksteady {
 
 namespace {
 
-std::unique_ptr<LaneSet> MakeLanes(const ClusterConfig& config) {
+LaneSet::Config LaneConfig(const ClusterConfig& config) {
   if (config.lanes <= 0) {
-    return nullptr;
+    std::fprintf(stderr, "ClusterConfig::lanes is %d; a cluster runs on at least one lane\n",
+                 config.lanes);
+    std::abort();
   }
   LaneSet::Config lane_config;
   lane_config.lanes = config.lanes;
@@ -28,7 +30,7 @@ std::unique_ptr<LaneSet> MakeLanes(const ClusterConfig& config) {
   // lane's event land inside the window.
   lane_config.lookahead = config.costs.net_per_message_ns + config.costs.net_propagation_ns;
   lane_config.seed = config.seed;
-  return std::make_unique<LaneSet>(lane_config);
+  return lane_config;
 }
 
 // Runs task(i) for every i in [0, n) on min(hardware threads, n) threads,
@@ -71,13 +73,9 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& task) {
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
-    : config_(config), lanes_(MakeLanes(config)), sim_(config.seed),
-      net_(&sim_, &config_.costs), rpc_(&sim_, &net_, &config_.costs) {
-  if (lanes_ != nullptr) {
-    net_.SetLanes(lanes_.get());
-    rpc_.SetLanes(lanes_.get());
-  }
-  const int lanes = lanes_ != nullptr ? lanes_->lanes() : 1;
+    : config_(config), lanes_(LaneConfig(config)), net_(&lanes_, &config_.costs),
+      rpc_(&lanes_, &net_, &config_.costs) {
+  const int lanes = lanes_.lanes();
   // The coordinator lives on lane 0; servers and clients round-robin across
   // lanes so the paper-shape cluster (24 servers) spreads evenly.
   coordinator_ = std::make_unique<Coordinator>(&rpc_, &config_.costs);
@@ -99,20 +97,6 @@ Cluster::Cluster(const ClusterConfig& config)
     clients_.push_back(
         std::make_unique<RamCloudClient>(coordinator_.get(), &config_.costs, i % lanes));
   }
-}
-
-size_t Cluster::Run() { return lanes_ != nullptr ? lanes_->Run() : sim_.Run(); }
-
-size_t Cluster::RunUntil(Tick t) {
-  return lanes_ != nullptr ? lanes_->RunUntil(t) : sim_.RunUntil(t);
-}
-
-void Cluster::AtSafePoint(Tick t, std::function<void()> fn) {
-  if (lanes_ != nullptr) {
-    lanes_->AtSafePoint(t, std::move(fn));
-    return;
-  }
-  sim_.At(t, [fn = std::move(fn)] { fn(); });
 }
 
 void Cluster::CreateTable(TableId table, size_t master_index) {

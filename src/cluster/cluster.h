@@ -1,4 +1,4 @@
-// Cluster: wires a full simulated RAMCloud deployment in one Simulator —
+// Cluster: wires a full simulated RAMCloud deployment on one LaneSet —
 // coordinator, N storage servers (master + backup + cores + NIC), and M
 // client machines — mirroring the paper's CloudLab testbed (Table 1).
 //
@@ -26,14 +26,12 @@ struct ClusterConfig {
   MasterConfig master;
   CostModel costs;
   uint64_t seed = 42;
-  // Sharded execution: > 0 runs the cluster on that many event lanes
-  // (servers/clients round-robined across them) in a partition-invariant
-  // event order; 0 keeps the legacy single event queue, byte-identical to
-  // prior traces. Lane-mode traces form their own hash domain: per-node RNG
-  // streams and a (time, origin node, per-node seq) order replace the shared
-  // simulator stream and counter, so lane hashes differ from legacy hashes
-  // but are identical across lane counts and threading.
-  int lanes = 0;
+  // Event lanes the cluster runs on (>= 1; 0 or less aborts). Servers and
+  // clients round-robin across them. Events order by (time, origin node,
+  // per-node seq), every node draws from its own RNG stream, and the trace
+  // hash is per-node chains in node order, so results and hashes are
+  // identical for every lane count and with threads on or off.
+  int lanes = 1;
   // With lanes > 1: execute lanes on real worker threads. Trace hashes are
   // identical with threads on or off.
   bool lane_threads = false;
@@ -46,33 +44,28 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // The root simulator: the coordinator node's in sharded mode, the single
-  // shared queue otherwise. Lane-mode code that needs *a* clock may use it;
-  // scheduling cross-cutting control actions must go through AtSafePoint
-  // instead.
-  Simulator& sim() { return lanes_ != nullptr ? coordinator_->sim() : sim_; }
   Network& net() { return net_; }
   RpcSystem& rpc() { return rpc_; }
   Coordinator& coordinator() { return *coordinator_; }
   const CostModel& costs() const { return config_.costs; }
   const ClusterConfig& config() const { return config_; }
 
-  // --- Mode-independent execution (prefer these over sim().Run*). ---
-  LaneSet* lanes() { return lanes_.get(); }
-  size_t Run();
-  size_t RunUntil(Tick t);
-  Tick now() const { return lanes_ != nullptr ? lanes_->now() : sim_.now(); }
-  uint64_t trace_hash() const {
-    return lanes_ != nullptr ? lanes_->trace_hash() : sim_.trace_hash();
-  }
-  size_t events_processed() const {
-    return lanes_ != nullptr ? lanes_->events_processed() : sim_.events_processed();
-  }
+  // --- Execution. Events scheduled from inside other events go through the
+  // scheduling node's view (master(i).sim(), client(i).sim(),
+  // coordinator().sim()). ---
+  LaneSet* lanes() { return &lanes_; }
+  size_t Run() { return lanes_.Run(); }
+  size_t RunUntil(Tick t) { return lanes_.RunUntil(t); }
+  Tick now() const { return lanes_.now(); }
+  bool Idle() { return lanes_.Idle(); }
+  uint64_t trace_hash() const { return lanes_.trace_hash(); }
+  size_t events_processed() const { return lanes_.events_processed(); }
   // Runs `fn` once everything before `t` has executed and nothing at/after
-  // `t` has, with all lanes parked — the lane-safe home for cross-cutting
-  // control actions (migration kickoff, crash injection, operator actions).
-  // Legacy mode approximates with a plain event at `t`.
-  void AtSafePoint(Tick t, std::function<void()> fn);
+  // `t` has, with all lanes parked — the home for cross-cutting control
+  // actions (migration kickoff, crash injection, operator actions).
+  void AtSafePoint(Tick t, std::function<void()> fn) {
+    lanes_.AtSafePoint(t, std::move(fn));
+  }
 
   MasterServer& master(size_t i) { return *masters_.at(i); }
   RamCloudClient& client(size_t i) { return *clients_.at(i); }
@@ -112,8 +105,7 @@ class Cluster {
   void SeedReplicas();
 
   ClusterConfig config_;
-  std::unique_ptr<LaneSet> lanes_;  // Null in legacy mode. Before sim_/net_/rpc_: they wire to it.
-  Simulator sim_;                   // Legacy shared queue (idle in lane mode).
+  LaneSet lanes_;  // Before net_/rpc_: they wire to it.
   Network net_;
   RpcSystem rpc_;
   std::unique_ptr<Coordinator> coordinator_;

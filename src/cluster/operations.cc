@@ -88,7 +88,7 @@ void RollingRestartOrchestrator::OnRecoveryComplete(ServerId id) {
   }
   // Rejoin only after re-homing finished, then give the cluster a settle
   // window before the next master goes down.
-  cluster_->sim().After(options_.restart_delay_ns, [this, alive = alive_, id] {
+  cluster_->coordinator().sim().After(options_.restart_delay_ns, [this, alive = alive_, id] {
     if (!*alive || !running_) {
       return;
     }
@@ -98,7 +98,7 @@ void RollingRestartOrchestrator::OnRecoveryComplete(ServerId id) {
       stats_.restarts_completed++;
     }
     in_flight_ = 0;
-    cluster_->sim().After(options_.settle_ns, [this, alive = alive_] {
+    cluster_->coordinator().sim().After(options_.settle_ns, [this, alive = alive_] {
       if (*alive && running_) {
         StepNext();
       }

@@ -61,7 +61,7 @@ class HashTable {
   void PrefetchBucket(KeyHash hash) const {
     const Bucket* bucket = &buckets_[BucketOf(hash)];
     __builtin_prefetch(bucket, 0, 1);
-    // A bucket (8 hashes + 8 refs + count + chain) spans >1 cache line.
+    // A bucket (count + 8 hashes + 8 refs + chain) spans >1 cache line.
     __builtin_prefetch(reinterpret_cast<const char*>(bucket) + 64, 0, 1);
   }
 
@@ -98,9 +98,11 @@ class HashTable {
   static constexpr size_t kSlotsPerBucket = 8;
 
   struct Bucket {
+    // First: FindSlot reads the count before any slot, and it lands in the
+    // line PrefetchBucket fetches first.
+    uint8_t count = 0;
     std::array<KeyHash, kSlotsPerBucket> hashes;
     std::array<LogRef, kSlotsPerBucket> refs;
-    uint8_t count = 0;
     std::unique_ptr<Bucket> next;
   };
 

@@ -282,6 +282,7 @@ struct GetRecoveryDataRequest : RpcRequest {
 struct RecoverySegment {
   uint32_t segment_id = 0;
   std::vector<uint8_t> data;
+  bool sealed = false;  // The master closed the segment (inside the 8 B per-segment overhead).
 };
 
 struct GetRecoveryDataResponse : RpcResponse {

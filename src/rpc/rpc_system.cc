@@ -8,13 +8,16 @@
 
 namespace rocksteady {
 
+RpcSystem::RpcSystem(LaneSet* lanes, Network* net, const CostModel* costs)
+    : lanes_(lanes), net_(net), costs_(costs),
+      pending_lanes_(static_cast<size_t>(lanes->lanes())),
+      lane_retransmissions_(static_cast<size_t>(lanes->lanes())) {}
+
 RpcEndpoint* RpcSystem::CreateEndpoint(CoreSet* cores, int lane) {
   const NodeId node = net_->AddNode();
   assert(node == endpoints_.size());
-  if (lanes_ != nullptr) {
-    lanes_->AssignNode(node, lane);
-    next_call_id_node_.push_back(0);
-  }
+  lanes_->AssignNode(node, lane);
+  next_call_id_node_.push_back(0);
   endpoints_.push_back(std::make_unique<RpcEndpoint>(this, node, cores, SimFor(node)));
   return endpoints_.back().get();
 }
@@ -23,9 +26,7 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
                      ResponseCallback cb, Tick timeout) {
   Simulator* csim = SimFor(from);
   const uint64_t call_id =
-      lanes_ != nullptr
-          ? ((static_cast<uint64_t>(from) + 1) << kCallerShift) | next_call_id_node_[from]++
-          : next_call_id_++;
+      ((static_cast<uint64_t>(from) + 1) << kCallerShift) | next_call_id_node_[from]++;
   const Opcode op = request->op();
   const Tick deadline = timeout > 0 ? csim->now() + timeout : 0;
 
@@ -35,9 +36,7 @@ void RpcSystem::Call(NodeId from, NodeId to, std::unique_ptr<RpcRequest> request
   pending.request = IntrusivePtr<RpcRequest>(std::move(request));
   pending.cb = std::move(cb);
   pending.deadline = deadline;
-  if (lanes_ != nullptr) {
-    pending.wire = pending.request->WireSize();
-  }
+  pending.wire = pending.request->WireSize();
   PendingFor(call_id)[call_id] = std::move(pending);
 
   if (timeout > 0) {
@@ -65,19 +64,12 @@ void RpcSystem::SendAttempt(uint64_t call_id) {
   }
   pending->attempts++;
   if (pending->attempts > 1) {
-    if (lanes_ != nullptr) {
-      lane_retransmissions_[static_cast<size_t>(lanes_->lane_of(pending->caller))].value++;
-    } else {
-      retransmissions_++;
-    }
+    lane_retransmissions_[static_cast<size_t>(lanes_->lane_of(pending->caller))].value++;
   }
   const NodeId from = pending->caller;
   const NodeId to = pending->server;
   const bool retransmittable = pending->deadline != 0;
-  // Lane mode must not re-measure the shared request (the server's handler
-  // may be moving payload out of it on another lane); legacy re-measures per
-  // attempt, matching recorded traces.
-  const size_t wire = lanes_ != nullptr ? pending->wire : pending->request->WireSize();
+  const size_t wire = pending->wire;
   // The delivery closure holds its own reference and *copies* it into
   // Deliver: the fabric may invoke the closure twice (duplication), so it
   // must not consume its captures.
@@ -266,44 +258,41 @@ uint64_t RpcEndpoint::CurrentEpoch() const { return cores_ != nullptr ? cores_->
 
 void RpcSystem::TransmitResponse(uint64_t call_id, NodeId server_node,
                                  std::unique_ptr<RpcResponse> response) {
-  NodeId caller;
-  if (lanes_ != nullptr) {
-    // Server lane: the caller's pending table is not ours to read. The
-    // call_id carries the caller id; a response to a caller that already
-    // gave up is dropped on the caller's own lane below instead of here.
-    caller = CallerOf(call_id);
-  } else {
-    PendingCall* pending = pending_.Find(call_id);
-    if (pending == nullptr) {
-      return;  // Caller gave up (deadline) or already got an earlier copy.
-    }
-    caller = pending->caller;
-  }
+  // Server lane: the caller's pending table is not ours to read. The
+  // call_id carries the caller id; a response to a caller that already gave
+  // up is dropped on the caller's own lane below instead of here.
+  const NodeId caller = CallerOf(call_id);
   const size_t wire = response->WireSize();
 
   // The pending entry survives until the response actually reaches the
   // caller: if the fabric eats this response, a later retransmission (or a
   // server-side replay of the cached response) still has a home to land in.
-  // The delivery closure may run twice (fabric duplication): the first copy
-  // moves the response out, the loser still goes through dispatch (charging
-  // the poll cost, as a real duplicate would) and bails on the null.
+  //
+  // Arrival runs on the caller's lane, whose transport discards a copy for a
+  // call that is no longer pending (completed by an earlier copy, or past
+  // its deadline) before the caller's dispatch core polls it, and a fabric
+  // duplicate whose twin already took the response. Polling every such
+  // copy is a feedback loop: a master whose dispatch backlog outgrows the
+  // retransmit interval receives one replayed answer per retransmission,
+  // each adds to the backlog, and the backlog never drains.
   net_->Send(server_node, caller, wire,
              [this, caller, call_id, resp = std::move(response)]() mutable {
+               PendingCall* pending = PendingFor(call_id).Find(call_id);
+               if (pending == nullptr || resp == nullptr) {
+                 return;  // Stale, or a duplicated copy whose twin took the response.
+               }
                RpcEndpoint* endpoint = Endpoint(caller);
                auto deliver = [this, call_id, resp = std::move(resp)]() mutable {
                  FlatMap64<PendingCall>& table = PendingFor(call_id);
                  PendingCall* pending = table.Find(call_id);
                  if (pending == nullptr) {
-                   return;  // A duplicate response; the first copy won.
-                 }
-                 if (resp == nullptr) {
-                   return;  // This network-duplicated copy lost the move race.
+                   return;  // An earlier queued copy or the deadline got here first.
                  }
                  ResponseCallback cb = std::move(pending->cb);
                  table.Erase(call_id);
                  cb(Status::kOk, std::move(resp));
                };
-               if (endpoint != nullptr && endpoint->cores() != nullptr) {
+               if (endpoint->cores() != nullptr) {
                  // Responses are polled off the NIC by the caller's dispatch core too.
                  endpoint->cores()->EnqueueDispatch(costs_->dispatch_per_rpc_ns,
                                                    std::move(deliver));

@@ -12,7 +12,10 @@ FaultInjector::Decision FaultInjector::OnMessage(uint32_t from, uint32_t to) {
     dup_p = override->duplicate_probability;
   }
 
-  Random& rng = sender_rng_.empty() ? rng_ : sender_rng_[from];
+  if (from >= sender_rng_.size()) {
+    CoverSenders(from + 1);  // A direct caller; Network covers its nodes up front.
+  }
+  Random& rng = sender_rng_[from];
 
   Decision decision;
   if (int* remaining = drop_next_.Find(link); remaining != nullptr && *remaining > 0) {

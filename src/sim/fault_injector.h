@@ -1,7 +1,8 @@
 // Deterministic fault injection for the simulated fabric and cores.
 //
-// FoundationDB-style: all faults are drawn from a dedicated seeded RNG in
-// deterministic event order, so a chaos run is a pure function of its seed —
+// FoundationDB-style: all faults are drawn from dedicated seeded RNG streams,
+// one per sender, in that sender's event order, so a chaos run is a pure
+// function of its seed (and independent of lane count and threading) —
 // a failing seed replays bit-identically under a debugger. The injector is
 // consulted by Network::Send (per-message drop / duplication / extra delay)
 // and drives straggler and crash/restart schedules through callbacks the
@@ -47,22 +48,22 @@ class FaultInjector {
     std::array<Tick, 2> extra_delay_ns{};
   };
 
-  explicit FaultInjector(const Config& config) : config_(config), rng_(config.seed) {}
+  explicit FaultInjector(const Config& config) : config_(config) {}
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  // Draws the fate of one message on link from->to. Called by Network::Send
-  // in event order, which keeps the draw sequence deterministic.
+  // Draws the fate of one message on link from->to from the sender's own
+  // stream, so each draw sequence depends only on that sender's send order.
+  // Called by Network::Send in the sender's event order.
   Decision OnMessage(uint32_t from, uint32_t to);
 
-  // Lane mode: gives every sender its own seeded stream, so each draw
-  // sequence depends only on that node's send order — which is lane-count-
-  // and thread-invariant — instead of the global interleaving of sends.
-  // Call once at setup. The one-shot DropNext/DuplicateNext helpers and
-  // SetLinkOverride remain setup-time-only under lanes (their tables are
-  // read-only while lanes run).
-  void EnablePerSenderStreams(size_t num_nodes) {
+  // Creates the streams of senders [0, num_nodes). Network calls it when the
+  // injector is installed and when a node joins, so the send path never
+  // grows the stream table while lanes run. The one-shot DropNext/
+  // DuplicateNext helpers and SetLinkOverride are setup-time-only under
+  // threaded lanes too (their tables are read-only while lanes run).
+  void CoverSenders(size_t num_nodes) {
     for (size_t node = sender_rng_.size(); node < num_nodes; node++) {
       sender_rng_.emplace_back(Mix64(config_.seed + 0x9E3779B97F4A7C15ull * (node + 1)));
     }
@@ -84,7 +85,6 @@ class FaultInjector {
   }
 
   const Config& config() const { return config_; }
-  Random& rng() { return rng_; }
 
  private:
   struct LinkOverride {
@@ -93,9 +93,8 @@ class FaultInjector {
   };
 
   Config config_;
-  Random rng_;  // Dedicated stream: fault draws never perturb workload RNG use.
-  // Lane mode: per-sender streams (stable addresses; draws happen on the
-  // sender's lane only). Empty in legacy mode — the shared rng_ is used.
+  // Per-sender streams (stable addresses; draws happen on the sender's lane
+  // only). Dedicated: fault draws never perturb workload RNG use.
   ROCKSTEADY_SHARED_GUARDED("per-sender slots; stream i drawn only from node i's lane")
   std::deque<Random> sender_rng_;
   ROCKSTEADY_SHARED_GUARDED("all lanes read on the send path; mutated only at setup (lanes parked)")

@@ -111,7 +111,7 @@ uint64_t LaneSet::trace_hash() const {
 size_t LaneSet::events_processed() const {
   size_t total = 0;
   for (const auto& sim : sims_) {
-    total += sim->events_processed();
+    total += sim->events_processed_;
   }
   return total;
 }

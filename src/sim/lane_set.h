@@ -84,10 +84,9 @@ class LaneSet {
   // --- Safe-point tasks. ---
   // Runs `fn` on the driving thread once every event before time `t` has
   // executed and before any event at or after `t` does, with all lanes
-  // parked — the lane-mode home for cross-cutting control actions
-  // (migration kickoff, operator actions) that legacy code runs as plain
-  // events. Placement depends only on the global event timeline, so it is
-  // lane-count- and thread-invariant.
+  // parked — the home for cross-cutting control actions (migration
+  // kickoff, operator actions). Placement depends only on the global event
+  // timeline, so it is lane-count- and thread-invariant.
   void AtSafePoint(Tick t, std::function<void()> fn);  // lint:allow-churn — cold, a handful per run.
 
   // --- Execution (same contract as Simulator::Run / RunUntil). ---
@@ -95,6 +94,8 @@ class LaneSet {
   size_t RunUntil(Tick t);
 
   Tick now() const { return now_; }
+  // True when no event, cross-lane delivery or safe-point task is pending.
+  bool Idle() { return GlobalMinEventTime() == kNoEvent && safe_points_.empty(); }
   // Every node's scheduling chain in node-id order, then the root chain:
   // each event's (time, seq) is mixed into its origin's chain when it is
   // scheduled, so the digest covers every event and its place in the order.

@@ -44,9 +44,18 @@ using NetFn = InlineFunction<void(), kNetInlineCallbackBytes>;
 
 class Network {
  public:
+  // A bare-engine network: every delivery is an event on `sim`.
   Network(Simulator* sim, const CostModel* costs) : sim_(sim), costs_(costs) {
     counters_.resize(1);
     pools_.resize(1);
+  }
+  // A lane network: sends execute on the sender's lane, deliveries on the
+  // receiver's. Cross-lane deliveries route through the LaneSet mailboxes;
+  // counters and the fault-path delivery pool are per-lane so the hot path
+  // never touches another lane's cache line.
+  Network(LaneSet* lanes, const CostModel* costs) : costs_(costs), lanes_(lanes) {
+    counters_.resize(static_cast<size_t>(lanes->lanes()));
+    pools_.resize(static_cast<size_t>(lanes->lanes()));
   }
 
   Network(const Network&) = delete;
@@ -54,21 +63,13 @@ class Network {
 
   static constexpr size_t kBulkThresholdBytes = 4096;
 
-  // Lane mode: sends execute on the sender's lane, deliveries on the
-  // receiver's. Cross-lane deliveries route through the LaneSet mailboxes;
-  // counters and the fault-path delivery pool become per-lane so the hot
-  // path never touches another lane's cache line. Call once at setup,
-  // before any Send.
-  void SetLanes(LaneSet* lanes) {
-    lanes_ = lanes;
-    counters_.assign(static_cast<size_t>(lanes->lanes()), Counters{});
-    pools_.resize(static_cast<size_t>(lanes->lanes()));
-  }
-
   NodeId AddNode() {
     egress_free_at_.push_back(0);
     egress_bulk_free_at_.push_back(0);
     node_down_.push_back(false);
+    if (fault_injector_ != nullptr) {
+      fault_injector_->CoverSenders(NumNodes());
+    }
     return static_cast<NodeId>(egress_free_at_.size() - 1);
   }
   size_t NumNodes() const { return egress_free_at_.size(); }
@@ -90,6 +91,9 @@ class Network {
   // Installs (or removes, with nullptr) a fault injector consulted on every
   // Send. Not owned; must outlive the network while installed.
   void SetFaultInjector(FaultInjector* injector) {
+    if (injector != nullptr) {
+      injector->CoverSenders(NumNodes());
+    }
     fault_injector_ = injector;
     faults_ever_installed_ = faults_ever_installed_ || injector != nullptr;
   }
@@ -101,7 +105,7 @@ class Network {
   // duplicate-defense work must check this, not fault_injector().
   bool faults_ever_installed() const { return faults_ever_installed_; }
 
-  // Counter accessors sum the per-lane shards (one shard in legacy mode).
+  // Counter accessors sum the per-lane shards (one shard on a bare engine).
   uint64_t total_bytes_sent() const { return SumCounter(&Counters::total_bytes_sent); }
   uint64_t total_messages() const { return SumCounter(&Counters::total_messages); }
 
@@ -128,7 +132,7 @@ class Network {
   };
 
   // Send-side statistics, sharded per lane (cache-line spaced so lanes never
-  // false-share); legacy mode uses shard 0 only.
+  // false-share); a bare engine uses shard 0 only.
   struct alignas(64) Counters {
     uint64_t total_bytes_sent = 0;
     uint64_t total_messages = 0;
@@ -158,13 +162,13 @@ class Network {
 
   SharedDelivery* AllocShared(size_t pool);
   void ReleaseShared(size_t pool, SharedDelivery* shared);
-  // Schedules a delivery event homed on `to`: through the shared simulator
-  // (legacy) or LaneSet::Deliver (lane mode).
+  // Schedules a delivery event homed on `to`: on the bare engine, or through
+  // LaneSet::Deliver.
   void ScheduleDelivery(NodeId from, NodeId to, Tick arrive, EventFn ev);
 
-  Simulator* sim_;
+  Simulator* sim_ = nullptr;  // Bare engine; null on lanes.
   const CostModel* costs_;
-  LaneSet* lanes_ = nullptr;  // Null in legacy single-queue mode.
+  LaneSet* lanes_ = nullptr;  // Null on a bare engine.
 
   // Per-node slots: only the owning node's lane ever touches index i.
   ROCKSTEADY_SHARED_GUARDED("per-node egress slots; only node i's lane reads/writes index i")

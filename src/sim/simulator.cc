@@ -1,6 +1,8 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/sim/lane_set.h"
@@ -16,6 +18,14 @@ Simulator::Simulator(uint64_t seed) : buckets_(kNumBuckets), rng_(seed) {}
 
 Simulator::Simulator(Simulator* engine, NodeId node, Random* node_rng)
     : engine_(engine), node_(node), node_rng_(node_rng) {}
+
+void Simulator::RefuseEngineCall(const char* call) {
+  std::fprintf(stderr,
+               "Simulator::%s called on a node view or lane engine; run and hash through its "
+               "LaneSet (Cluster::Run/RunUntil/trace_hash/events_processed)\n",
+               call);
+  std::abort();
+}
 
 Simulator::~Simulator() {
   // Slab destruction runs every Event's destructor, releasing any state
@@ -244,7 +254,7 @@ size_t Simulator::RunWindow(Tick end) {
 }
 
 size_t Simulator::Run() {
-  ROCKSTEADY_DCHECK(lane_set_ == nullptr && engine_ == this);  // Lanes run via LaneSet.
+  RequireBareEngine("Run");
   size_t processed = 0;
   Event* e;
   while ((e = PopMin()) != nullptr) {
@@ -263,8 +273,8 @@ size_t Simulator::Run() {
 size_t Simulator::RunUntil(Tick t) {
   // The clock never rewinds: RunUntil into the past is a checked error and
   // a no-op in release (no events run, now() is unchanged).
+  RequireBareEngine("RunUntil");
   ROCKSTEADY_DCHECK_GE(t, now_);
-  ROCKSTEADY_DCHECK(lane_set_ == nullptr && engine_ == this);  // Lanes run via LaneSet.
   size_t processed = 0;
   Tick min_time;
   while (PeekMinTime(&min_time) && min_time <= t) {

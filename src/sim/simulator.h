@@ -61,6 +61,13 @@ class Simulator {
 
   void After(Tick delay, EventFn fn) { At(now() + delay, std::move(fn)); }
 
+  // --- Engine-only calls. ---
+  // Only a bare engine (Simulator(seed)) runs its own queue and keeps its
+  // own digest. A node view or a lane engine runs through its LaneSet (a
+  // Cluster's Run/RunUntil/trace_hash), so these abort, in every build,
+  // when called on one: a view would otherwise run nothing and report a
+  // constant hash.
+
   // Runs events until the queue drains. Returns the number processed.
   size_t Run();
 
@@ -70,14 +77,20 @@ class Simulator {
   size_t RunUntil(Tick t);
 
   bool Idle() const { return ring_count_ == 0 && overflow_.empty(); }
-  size_t events_processed() const { return events_processed_; }
+  size_t events_processed() const {
+    RequireBareEngine("events_processed");
+    return events_processed_;
+  }
 
   // Order-sensitive digest of every event dispatched so far: two runs of
   // the same scenario are deterministic iff their trace hashes are equal.
   // Mixed from each event's (time, seq) at dispatch, so any divergence in
   // scheduling order or timing changes the hash. (Lane mode: see
   // LaneSet::trace_hash.)
-  uint64_t trace_hash() const { return trace_hash_; }
+  uint64_t trace_hash() const {
+    RequireBareEngine("trace_hash");
+    return trace_hash_;
+  }
 
   // A node view draws from its node's private stream (LaneSet::NodeRng).
   Random& rng() { return node_rng_ != nullptr ? *node_rng_ : rng_; }
@@ -104,9 +117,9 @@ class Simulator {
   // events, the free-list thread (next only).
   struct Event {
     Tick time = 0;
-    // Tie-break so equal-time events stay FIFO: one global counter in the
-    // legacy engine; (origin node << kOriginShift) | the origin's own
-    // counter in a lane engine (see LaneSeq).
+    // Tie-break so equal-time events stay FIFO: one global counter in a
+    // bare engine; (origin node << kOriginShift) | the origin's own counter
+    // in a lane engine (see LaneSeq).
     uint64_t seq = 0;
     Event* prev = nullptr;
     Event* next = nullptr;
@@ -128,6 +141,15 @@ class Simulator {
     Event* head = nullptr;
     Event* tail = nullptr;
   };
+
+  // Aborts naming `call` unless this is a bare engine (see "Engine-only
+  // calls" above).
+  void RequireBareEngine(const char* call) const {
+    if (engine_ != this || lane_set_ != nullptr) {
+      RefuseEngineCall(call);
+    }
+  }
+  [[noreturn]] static void RefuseEngineCall(const char* call);
 
   static uint64_t BucketOf(Tick t) { return t >> kBucketWidthLog2; }
   static bool EventLater(const Event* a, const Event* b);

@@ -38,7 +38,7 @@ struct Shape {
   int masters = 4;
   uint64_t records = 0;
   bool spread = false;  // Tablets across every master, or all on master 0.
-  int lanes = 0;
+  int lanes = 1;
   bool lane_threads = false;
   size_t key_length = kKeyLength;
   // A second, smaller table on master 1 loaded after the first: re-seeding
@@ -159,6 +159,8 @@ void ExpectSameBackup(Cluster& got, Cluster& want, size_t b) {
       EXPECT_EQ(got_replicas[s].segment_id, want_replicas[s].segment_id);
       EXPECT_TRUE(got_replicas[s].data == want_replicas[s].data)
           << "replica of master " << m << " segment " << got_replicas[s].segment_id;
+      EXPECT_EQ(got_replicas[s].sealed, want_replicas[s].sealed)
+          << "seal of master " << m << "'s segment " << got_replicas[s].segment_id;
     }
   }
 }
@@ -246,8 +248,10 @@ TEST(BackupServiceTest, AppendsRewritesAndGapsKeepTheirBytes) {
   ASSERT_EQ(replicas.size(), 3u);
   EXPECT_EQ(replicas[0].segment_id, 5u);
   EXPECT_EQ(replicas[0].data, (std::vector<uint8_t>{1, 9, 8, 4, 9, 8}));
+  EXPECT_TRUE(replicas[0].sealed);  // A later unsealed rewrite keeps the seal.
   EXPECT_EQ(replicas[1].segment_id, 7u);
   EXPECT_EQ(replicas[1].data, (std::vector<uint8_t>{0, 0, 9, 8}));
+  EXPECT_FALSE(replicas[1].sealed);
   EXPECT_TRUE(replicas[2].data.empty());
   EXPECT_EQ(backup.bytes_stored(), 10u);
 }

@@ -33,6 +33,9 @@ constexpr uint64_t kRecords = 1'000;
 constexpr Tick kOpGap = 25 * kMicrosecond;    // ~40k ops/s offered.
 constexpr Tick kOpsStop = 40 * kMillisecond;  // Last arrival.
 constexpr Tick kHorizon = 60 * kMillisecond;  // Faults all resolved by here.
+// A healthy episode goes idle within ~10 ms of its last scheduled work; one
+// still busy this long after fails its seed instead of stalling the suite.
+constexpr Tick kDrainBudget = 100 * kMillisecond;
 
 // Everything that must replay bit-identically for one seed.
 struct ChaosDigest {
@@ -84,7 +87,7 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kRecords, 30, 100);
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   // --- Fault schedule, drawn deterministically per seed. ---
   Random schedule(seed ^ 0x9e3779b97f4a7c15ull);
@@ -177,9 +180,14 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
   sim.After(kOpGap, pump);
 
   // --- Run, then drain (the detector sweep is an infinite loop). ---
-  sim.RunUntil(kHorizon);
+  cluster.RunUntil(kHorizon);
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.RunUntil(kHorizon + kDrainBudget);
+  if (!cluster.Idle()) {
+    ADD_FAILURE() << "seed " << seed << ": still busy " << kDrainBudget / kMillisecond
+                  << " ms after the horizon; the drain does not terminate";
+    return digest;
+  }
 
   EXPECT_TRUE(stats.has_value()) << "seed " << seed << ": migration did not complete";
   EXPECT_TRUE(victim_restarted) << "seed " << seed << ": no crash-restart happened";
@@ -228,18 +236,18 @@ ChaosDigest RunChaosEpisode(uint64_t seed) {
       }
     });
     if (i % 64 == 63) {
-      sim.Run();
+      cluster.Run();
     }
   }
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(mismatches, 0u) << "seed " << seed << ": committed writes lost or corrupted:\n" << mismatch_detail;
 
   // The fabric really was hostile.
   EXPECT_GT(cluster.net().injected_drops(), 0u);
   EXPECT_GT(cluster.net().injected_duplicates(), 0u);
 
-  digest.trace_hash = sim.trace_hash();
-  digest.events = sim.events_processed();
+  digest.trace_hash = cluster.trace_hash();
+  digest.events = cluster.events_processed();
   digest.end_time = sim.now();
   digest.injected_drops = cluster.net().injected_drops();
   digest.injected_duplicates = cluster.net().injected_duplicates();
@@ -336,7 +344,7 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, kOverloadRecords, 30, 100);
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   RocksteadyOptions options;
   options.adaptive_pacing = pacing;
@@ -412,7 +420,13 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
   };
   sim.After(kBurstGap, pump);
 
-  sim.Run();
+  cluster.RunUntil(kOpsStop + kDrainBudget);
+  if (!cluster.Idle()) {
+    ADD_FAILURE() << "seed " << seed << " pacing=" << pacing << ": still busy "
+                  << kDrainBudget / kMillisecond
+                  << " ms after the last arrival; the drain does not terminate";
+    return digest;
+  }
 
   EXPECT_TRUE(stats.has_value()) << "seed " << seed << ": migration did not complete";
   EXPECT_GT(digest.acked_writes, 0u) << "seed " << seed;
@@ -449,10 +463,10 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
       }
     });
     if (i % 64 == 63) {
-      sim.Run();
+      cluster.Run();
     }
   }
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(digest.mismatches, 0u)
       << "seed " << seed << " pacing=" << pacing << ": acked writes lost:\n" << mismatch_detail;
 
@@ -462,8 +476,8 @@ OverloadDigest RunOverloadEpisode(uint64_t seed, bool pacing) {
         std::min(read_latencies.size() - 1, (read_latencies.size() * 999) / 1000);
     digest.read_p999 = read_latencies[idx];
   }
-  digest.trace_hash = sim.trace_hash();
-  digest.events = sim.events_processed();
+  digest.trace_hash = cluster.trace_hash();
+  digest.events = cluster.events_processed();
   digest.pacing_backoffs = stats.has_value() ? stats->pacing_backoffs : 0;
   digest.pull_rejections = stats.has_value() ? stats->pull_rejections : 0;
   digest.client_sheds = cluster.master(0).client_sheds();

@@ -8,11 +8,8 @@
 // scenario also at 8 threaded lanes, oversubscribing a small host on
 // purpose so the barrier runs under preemption) and asserts every digest —
 // trace hash, event count, end time, client/migration/fault counters, final
-// object placement — is bit-identical.
-//
-// Lane-mode traces are their own hash domain (per-node RNG streams replace
-// the shared simulator stream), so these hashes are not compared against
-// legacy single-queue runs; sim_determinism_test continues to pin those.
+// object placement — is bit-identical. (sim_determinism_test pins run-twice
+// equality of the default one-lane cluster.)
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -71,10 +68,9 @@ LaneDigest RunLaneScenario(Scenario kind, uint64_t seed, int lanes, bool threads
   config.lane_threads = threads;
   Cluster cluster(config);
   if (kind == Scenario::kFaults) {
-    // Per-sender fault streams: each node's drop/duplicate/delay draws
-    // depend only on that node's send order, which the partition-invariant
-    // event order keeps lane-count- and thread-invariant.
-    injector.EnablePerSenderStreams(1 + cluster.num_masters() + cluster.num_clients());
+    // Fault draws come from per-sender streams: each node's drop/duplicate/
+    // delay draws depend only on that node's send order, which the
+    // partition-invariant event order keeps lane-count- and thread-invariant.
     cluster.net().SetFaultInjector(&injector);
   }
   if (kind != Scenario::kYcsb) {
@@ -307,6 +303,27 @@ TEST(LaneOrderTest, MailInFlightAcrossRunUntilAndSafePointWork) {
       EXPECT_EQ(digests, reference) << "lanes=" << lanes << " threads=" << threads;
     }
   }
+}
+
+// Only a bare engine runs its own queue and keeps its own digest. A node
+// view or a lane engine refuses, in every build type, so code that still
+// drives a view instead of its LaneSet fails loudly instead of running
+// nothing and reporting a constant hash.
+TEST(LaneViewDeathTest, ViewsAndLaneEnginesRefuseEngineOnlyCalls) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  LaneSet::Config config;
+  config.lookahead = 1'000;
+  LaneSet set(config);
+  set.AssignNode(0, 0);
+  Simulator* view = set.SimFor(0);
+  view->At(10, [] {});
+  EXPECT_DEATH(view->Run(), "Simulator::Run called on a node view or lane engine");
+  EXPECT_DEATH(view->RunUntil(20), "Simulator::RunUntil called on a node view");
+  EXPECT_DEATH((void)view->trace_hash(), "Simulator::trace_hash called on a node view");
+  EXPECT_DEATH((void)view->events_processed(), "Simulator::events_processed called");
+  EXPECT_DEATH(set.lane_sim(0).Run(), "Simulator::Run called on a node view or lane engine");
+  // The LaneSet itself runs the view's event.
+  EXPECT_EQ(set.Run(), 1u);
 }
 
 }  // namespace

@@ -150,7 +150,7 @@ TEST(TelemetryTransportTest, FramesReachPlannerViaPingReplies) {
   RebalancePlanner planner(&cluster);  // Not started: just collects frames.
 
   // Drive some client traffic so the frames carry real rates.
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
   // Keep traffic flowing through the whole run so the (16 ms) sliding
   // window is non-empty whenever a ping samples a frame.
   for (int i = 0; i < 2'200; i++) {
@@ -160,9 +160,9 @@ TEST(TelemetryTransportTest, FramesReachPlannerViaPingReplies) {
     });
   }
   cluster.coordinator().StartFailureDetector();
-  sim.RunUntil(25 * kMillisecond);
+  cluster.RunUntil(25 * kMillisecond);
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.Run();
 
   // Every master's frame arrived by piggyback on ping replies.
   for (size_t i = 0; i < cluster.num_masters(); i++) {
@@ -197,7 +197,7 @@ TEST(CheckedSplitTest, RefusesNarrowEmptyAndUnknownSplits) {
 
   // A legal split works and both layers converge once events drain.
   EXPECT_EQ(coordinator.SplitTabletChecked(kTable, kMid), Status::kOk);
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(coordinator.splits_performed(), 1u);
   const Tablet* upper = cluster.master(0).objects().tablets().Find(kTable, kMid);
   ASSERT_NE(upper, nullptr);
@@ -212,7 +212,7 @@ TEST(CheckedSplitTest, RefusesSplitUnderInFlightMigration) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   cluster.LoadTable(kTable, 2'000, 30, 100);
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   std::optional<MigrationStats> stats;
   sim.At(kMillisecond, [&] {
@@ -220,7 +220,7 @@ TEST(CheckedSplitTest, RefusesSplitUnderInFlightMigration) {
                              [&](const MigrationStats& s) { stats = s; });
   });
   // Let the migration get under way (ownership moved, dependency live).
-  sim.RunUntil(kMillisecond + 500 * kMicrosecond);
+  cluster.RunUntil(kMillisecond + 500 * kMicrosecond);
   ASSERT_TRUE(cluster.coordinator().FindDependencyBySource(cluster.master(0).id()).has_value());
 
   // Splitting the migrating range is refused while the dependency is live...
@@ -229,11 +229,11 @@ TEST(CheckedSplitTest, RefusesSplitUnderInFlightMigration) {
   // ...but the source's untouched lower half splits fine.
   EXPECT_EQ(cluster.coordinator().SplitTabletChecked(kTable, kQuarter), Status::kOk);
 
-  sim.Run();
+  cluster.Run();
   ASSERT_TRUE(stats.has_value());
   // Once committed, the formerly migrating range splits normally again.
   EXPECT_EQ(cluster.coordinator().SplitTabletChecked(kTable, kMid + kQuarter), Status::kOk);
-  sim.Run();
+  cluster.Run();
   AuditReport report;
   cluster.coordinator().AuditInvariants(&report);
   EXPECT_TRUE(report.ok()) << report.Summary();
@@ -248,7 +248,7 @@ TEST(CheckedSplitTest, CoordinatorCrashMidSplitConvergesOnRestart) {
   // the coordinator before the mirror lands: the owner is stranded unsplit.
   EXPECT_EQ(coordinator.SplitTabletChecked(kTable, kMid), Status::kOk);
   coordinator.Crash();
-  cluster.sim().Run();
+  cluster.Run();
   EXPECT_EQ(cluster.master(0).objects().tablets().tablets().size(), 1u);
 
   // Restart reconciles every map boundary back onto the owners.
@@ -302,7 +302,7 @@ TEST(PlannerTest, HysteresisThenMigratesBestFitTablet) {
   cluster.coordinator().SplitTablet(kTable, kMid);
   cluster.LoadTable(kTable, 1'000, 30, 100);
   RebalancePlanner planner(&cluster, TestPlannerOptions());
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   const ServerId hot = cluster.master(0).id();
   auto feed = [&] {
@@ -323,7 +323,7 @@ TEST(PlannerTest, HysteresisThenMigratesBestFitTablet) {
   planner.PlanOnce();
   EXPECT_EQ(planner.state(), RebalancePlanner::State::kMigrating);
   EXPECT_EQ(planner.stats().migrations_started, 1u);
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(planner.stats().migrations_completed, 1u);
   EXPECT_EQ(planner.state(), RebalancePlanner::State::kCooldown);
   // Best fit under the cap: the 8k tablet moved (desired ≈ min(max-mean,
@@ -340,7 +340,7 @@ TEST(PlannerTest, BalancedOrStaleClusterNeverActs) {
   EnableMigration(&cluster);
   cluster.CreateTable(kTable, 0);
   RebalancePlanner planner(&cluster, TestPlannerOptions());
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   // Balanced: equal load everywhere.
   for (size_t i = 0; i < cluster.num_masters(); i++) {
@@ -353,7 +353,7 @@ TEST(PlannerTest, BalancedOrStaleClusterNeverActs) {
 
   // Stale: frames exist but are too old to act on.
   sim.At(sim.now() + 200 * kMillisecond, [] {});
-  sim.Run();
+  cluster.Run();
   planner.PlanOnce();
   EXPECT_EQ(planner.stats().skipped_stale, 1u);
   EXPECT_EQ(planner.stats().migrations_started, 0u);
@@ -367,7 +367,7 @@ TEST(PlannerTest, NeverMigratesIntoOverloadedOrBudgetPressedTarget) {
   RebalancerOptions options = TestPlannerOptions();
   options.hysteresis_rounds = 1;
   RebalancePlanner planner(&cluster, options);
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   const ServerId hot = cluster.master(0).id();
   auto hot_frame = [&] {
@@ -403,7 +403,7 @@ TEST(PlannerTest, NeverMigratesIntoOverloadedOrBudgetPressedTarget) {
   planner.InjectFrame(MakeFrame(sim, cluster.master(2).id(), {}));
   planner.PlanOnce();
   EXPECT_EQ(planner.stats().migrations_started, 1u);
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(cluster.coordinator().OwnerOf(kTable, kMid), cluster.master(2).id());
 }
 
@@ -415,7 +415,7 @@ TEST(PlannerTest, SplitsHotTabletAtHistogramBoundary) {
   RebalancerOptions options = TestPlannerOptions();
   options.hysteresis_rounds = 1;
   RebalancePlanner planner(&cluster, options);
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   // One tablet carries everything: any move overshoots the deficit, so the
   // planner must carve it first.
@@ -428,7 +428,7 @@ TEST(PlannerTest, SplitsHotTabletAtHistogramBoundary) {
   EXPECT_EQ(planner.stats().splits_requested, 1u);
   EXPECT_EQ(planner.stats().migrations_started, 0u);
   EXPECT_EQ(cluster.coordinator().splits_performed(), 1u);
-  sim.Run();
+  cluster.Run();
 
   // The split landed where the uniform histogram crosses the desired move
   // (~desired/total of the way in, on a bin boundary) — and both layers
@@ -471,6 +471,9 @@ constexpr uint64_t kChaosRecords = 4'000;
 constexpr Tick kChaosOpGap = 10 * kMicrosecond;  // ~100k ops/s offered.
 constexpr Tick kChaosOpsStop = 50 * kMillisecond;
 constexpr Tick kChaosHorizon = 80 * kMillisecond;
+// A healthy episode goes idle within ~10 ms of the horizon; one still busy
+// this long after fails its seed instead of stalling the suite.
+constexpr Tick kChaosDrainBudget = 100 * kMillisecond;
 
 struct KeyState {
   bool acked = false;
@@ -519,7 +522,7 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
     }
   }
   cluster.LoadTable(kTable, kChaosRecords, 30, 100);
-  Simulator& sim = cluster.sim();
+  Simulator& sim = cluster.coordinator().sim();
 
   // Key pools per quarter (for aiming the hot spot at master 0).
   std::vector<std::string> hot_pool;
@@ -598,10 +601,15 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
   };
   sim.After(kChaosOpGap, pump);
 
-  sim.RunUntil(kChaosHorizon);
+  cluster.RunUntil(kChaosHorizon);
   planner.Stop();
   cluster.coordinator().StopFailureDetector();
-  sim.Run();
+  cluster.RunUntil(kChaosHorizon + kChaosDrainBudget);
+  if (!cluster.Idle()) {
+    ADD_FAILURE() << "seed " << seed << ": still busy " << kChaosDrainBudget / kMillisecond
+                  << " ms after the horizon; the drain does not terminate";
+    return digest;
+  }
 
   EXPECT_GT(digest.acked_writes, 0u) << "seed " << seed;
 
@@ -639,15 +647,15 @@ RebalanceChaosDigest RunRebalanceChaosEpisode(uint64_t seed) {
       }
     });
     if (i % 64 == 63) {
-      sim.Run();
+      cluster.Run();
     }
   }
-  sim.Run();
+  cluster.Run();
   EXPECT_EQ(digest.mismatches, 0u)
       << "seed " << seed << ": acked writes lost under rebalancing:\n" << mismatch_detail;
 
-  digest.trace_hash = sim.trace_hash();
-  digest.events = sim.events_processed();
+  digest.trace_hash = cluster.trace_hash();
+  digest.events = cluster.events_processed();
   digest.splits_performed = cluster.coordinator().splits_performed();
   digest.migrations_started = planner.stats().migrations_started;
   digest.migrations_completed = planner.stats().migrations_completed;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/rpc/rpc_system.h"
 #include "src/sim/fault_injector.h"
@@ -10,17 +11,26 @@
 namespace rocksteady {
 namespace {
 
+// A one-lane engine: every endpoint is a node with its own view.
 struct Fixture {
-  Simulator sim{7};
   CostModel costs;
-  Network net{&sim, &costs};
-  RpcSystem rpc{&sim, &net, &costs};
+  LaneSet lanes{LaneSet::Config{.lanes = 1, .seed = 7}};
+  Network net{&lanes, &costs};
+  RpcSystem rpc{&lanes, &net, &costs};
+  std::vector<std::unique_ptr<CoreSet>> cores;
+
+  // A server endpoint whose `workers` worker cores run on its node's view.
+  RpcEndpoint* Server(int workers) {
+    RpcEndpoint* endpoint = rpc.CreateEndpoint(nullptr);
+    cores.push_back(std::make_unique<CoreSet>(endpoint->sim(), workers));
+    endpoint->set_cores(cores.back().get());
+    return endpoint;
+  }
 };
 
 TEST(RpcTest, RoundTripThroughDispatch) {
   Fixture f;
-  CoreSet server_cores(&f.sim, 2);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(2);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
 
   server->Register(Opcode::kRead, [](RpcContext context) {
@@ -38,22 +48,21 @@ TEST(RpcTest, RoundTripThroughDispatch) {
                ASSERT_EQ(status, Status::kOk);
                got = static_cast<ReadResponse&>(*response).value;
              });
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(got, "value-for-k1");
 }
 
 TEST(RpcTest, LatencyIncludesDispatchAndNetwork) {
   Fixture f;
-  CoreSet server_cores(&f.sim, 2);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(2);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   server->Register(Opcode::kRead, [](RpcContext context) {
     context.reply(std::make_unique<ReadResponse>());
   });
   Tick completed_at = 0;
   f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
-             [&](Status, std::unique_ptr<RpcResponse>) { completed_at = f.sim.now(); });
-  f.sim.Run();
+             [&](Status, std::unique_ptr<RpcResponse>) { completed_at = client->sim()->now(); });
+  f.lanes.Run();
   // At minimum: two propagation delays + dispatch rx + dispatch tx.
   const Tick floor = 2 * f.costs.net_propagation_ns + f.costs.dispatch_per_rpc_ns +
                      f.costs.dispatch_tx_ns;
@@ -63,8 +72,7 @@ TEST(RpcTest, LatencyIncludesDispatchAndNetwork) {
 
 TEST(RpcTest, ConcurrentCallsSerializeOnDispatch) {
   Fixture f;
-  CoreSet server_cores(&f.sim, 4);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(4);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   int handled = 0;
   server->Register(Opcode::kRead, [&](RpcContext context) {
@@ -79,15 +87,14 @@ TEST(RpcTest, ConcurrentCallsSerializeOnDispatch) {
                  completed++;
                });
   }
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(handled, 10);
   EXPECT_EQ(completed, 10);
 }
 
 TEST(RpcTest, TimeoutFiresWhenServerDown) {
   Fixture f;
-  CoreSet server_cores(&f.sim, 1);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(1);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   server->Register(Opcode::kRead, [](RpcContext context) {
     context.reply(std::make_unique<ReadResponse>());
@@ -102,16 +109,15 @@ TEST(RpcTest, TimeoutFiresWhenServerDown) {
                EXPECT_EQ(response, nullptr);
              },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(got, Status::kServerDown);
-  EXPECT_EQ(f.sim.now(), kMillisecond);
+  EXPECT_EQ(f.lanes.now(), kMillisecond);
 }
 
 TEST(RpcTest, NoTimeoutAfterResponse) {
   Fixture f;
-  CoreSet server_cores(&f.sim, 1);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(1);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   server->Register(Opcode::kRead, [](RpcContext context) {
     context.reply(std::make_unique<ReadResponse>());
@@ -123,24 +129,23 @@ TEST(RpcTest, NoTimeoutAfterResponse) {
                EXPECT_EQ(status, Status::kOk);
              },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(callbacks, 1);  // The timeout must not double-fire.
 }
 
 TEST(RpcTest, HaltedServerNeverReplies) {
   Fixture f;
-  CoreSet server_cores(&f.sim, 1);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(1);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   server->Register(Opcode::kRead, [](RpcContext context) {
     context.reply(std::make_unique<ReadResponse>());
   });
-  server_cores.Halt();  // NIC up, cores dead.
+  server->cores()->Halt();  // NIC up, cores dead.
   Status got = Status::kOk;
   f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
              [&](Status status, std::unique_ptr<RpcResponse>) { got = status; },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(got, Status::kServerDown);
 }
 
@@ -148,8 +153,7 @@ TEST(RpcTest, RetransmitDeliversThroughRequestDrop) {
   Fixture f;
   FaultInjector injector({.seed = 3});
   f.net.SetFaultInjector(&injector);
-  CoreSet server_cores(&f.sim, 1);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(1);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   server->Register(Opcode::kRead, [](RpcContext context) {
     context.reply(std::make_unique<ReadResponse>());
@@ -159,7 +163,7 @@ TEST(RpcTest, RetransmitDeliversThroughRequestDrop) {
   f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
              [&](Status status, std::unique_ptr<RpcResponse>) { got = status; },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(got, Status::kOk);
   EXPECT_GE(f.rpc.retransmissions(), 1u);
   EXPECT_EQ(f.net.injected_drops(), 1u);
@@ -169,8 +173,7 @@ TEST(RpcTest, DuplicateRequestExecutesHandlerOnce) {
   Fixture f;
   FaultInjector injector({.seed = 3});
   f.net.SetFaultInjector(&injector);
-  CoreSet server_cores(&f.sim, 1);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(1);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   int executions = 0;
   server->Register(Opcode::kWrite, [&](RpcContext context) {
@@ -185,7 +188,7 @@ TEST(RpcTest, DuplicateRequestExecutesHandlerOnce) {
                callbacks++;
              },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(executions, 1);
   EXPECT_EQ(callbacks, 1);
   EXPECT_GE(server->duplicates_suppressed() + server->responses_replayed(), 1u);
@@ -199,8 +202,7 @@ TEST(RpcTest, LostResponseDoesNotDoubleApplyWrite) {
   Fixture f;
   FaultInjector injector({.seed = 3});
   f.net.SetFaultInjector(&injector);
-  CoreSet server_cores(&f.sim, 1);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(1);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   int applied = 0;
   server->Register(Opcode::kWrite, [&](RpcContext context) {
@@ -216,7 +218,7 @@ TEST(RpcTest, LostResponseDoesNotDoubleApplyWrite) {
                callbacks++;
              },
              /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(applied, 1);  // Executed exactly once despite the retransmission.
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(got, Status::kOk);
@@ -226,21 +228,42 @@ TEST(RpcTest, LostResponseDoesNotDoubleApplyWrite) {
 
 TEST(RpcTest, ServerToServerCallsChargeBothDispatches) {
   Fixture f;
-  CoreSet a_cores(&f.sim, 1);
-  CoreSet b_cores(&f.sim, 1);
-  RpcEndpoint* a = f.rpc.CreateEndpoint(&a_cores);
-  RpcEndpoint* b = f.rpc.CreateEndpoint(&b_cores);
+  RpcEndpoint* a = f.Server(1);
+  RpcEndpoint* b = f.Server(1);
   b->Register(Opcode::kRead,
               [](RpcContext context) { context.reply(std::make_unique<ReadResponse>()); });
   bool done = false;
   f.rpc.Call(a->node(), b->node(), std::make_unique<ReadRequest>(),
              [&](Status, std::unique_ptr<RpcResponse>) { done = true; });
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_TRUE(done);
   // Caller's dispatch polled the response off its NIC.
-  EXPECT_GE(a_cores.total_dispatch_busy(), f.costs.dispatch_per_rpc_ns);
-  EXPECT_GE(b_cores.total_dispatch_busy(),
+  EXPECT_GE(a->cores()->total_dispatch_busy(), f.costs.dispatch_per_rpc_ns);
+  EXPECT_GE(b->cores()->total_dispatch_busy(),
             f.costs.dispatch_per_rpc_ns + f.costs.dispatch_tx_ns);
+}
+
+// Regression: an answer that arrives after its call's deadline is dropped
+// at the caller's NIC, not polled by the caller's dispatch core. Polling such
+// stale answers (and replays of retransmissions) fed a master's dispatch
+// backlog until it never drained.
+TEST(RpcTest, LateAnswerIsNotPolledByCallerDispatch) {
+  Fixture f;
+  RpcEndpoint* caller = f.Server(1);
+  RpcEndpoint* server = f.Server(1);
+  server->Register(Opcode::kRead, [server](RpcContext context) {
+    server->sim()->After(2 * kMillisecond, [context = std::move(context)]() mutable {
+      context.reply(std::make_unique<ReadResponse>());
+    });
+  });
+  Status got = Status::kOk;
+  f.rpc.Call(caller->node(), server->node(), std::make_unique<ReadRequest>(),
+             [&](Status status, std::unique_ptr<RpcResponse>) { got = status; },
+             /*timeout=*/kMillisecond);
+  f.lanes.Run();
+  EXPECT_EQ(got, Status::kServerDown);
+  EXPECT_GE(f.rpc.retransmissions(), 1u);
+  EXPECT_EQ(caller->cores()->total_dispatch_busy(), 0u);
 }
 
 // Regression: the dedup cache must stay bounded under sustained traffic.
@@ -249,8 +272,7 @@ TEST(RpcTest, ServerToServerCallsChargeBothDispatches) {
 // of calls regardless of how long the workload runs.
 TEST(RpcTest, DedupCacheStaysBoundedUnderSustainedTraffic) {
   Fixture f;
-  CoreSet server_cores(&f.sim, 1);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(1);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   server->Register(Opcode::kWrite, [](RpcContext context) {
     context.reply(std::make_unique<WriteResponse>());
@@ -260,7 +282,7 @@ TEST(RpcTest, DedupCacheStaysBoundedUnderSustainedTraffic) {
   const int calls = static_cast<int>(10 * f.costs.rpc_dedup_retention_ns / spacing);
   int completed = 0;
   for (int i = 0; i < calls; i++) {
-    f.sim.At(static_cast<Tick>(i) * spacing, [&] {
+    client->sim()->At(static_cast<Tick>(i) * spacing, [&] {
       f.rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
                  [&](Status status, std::unique_ptr<RpcResponse>) {
                    EXPECT_EQ(status, Status::kOk);
@@ -268,7 +290,7 @@ TEST(RpcTest, DedupCacheStaysBoundedUnderSustainedTraffic) {
                  });
     });
   }
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(completed, calls);
   // At most one retention window of entries (plus the handful whose expiry
   // the final prune had not reached yet), not all `calls` of them.
@@ -283,8 +305,7 @@ TEST(RpcTest, DedupCacheStaysBoundedUnderSustainedTraffic) {
 // crash leaks entries for the lifetime of the process.
 TEST(RpcTest, DedupCacheExpiresCrashOrphanedEntries) {
   Fixture f;
-  CoreSet server_cores(&f.sim, 1);
-  RpcEndpoint* server = f.rpc.CreateEndpoint(&server_cores);
+  RpcEndpoint* server = f.Server(1);
   RpcEndpoint* client = f.rpc.CreateEndpoint(nullptr);
   // The handler swallows the request: models work in flight when the server
   // dies (the reply never happens).
@@ -294,20 +315,20 @@ TEST(RpcTest, DedupCacheExpiresCrashOrphanedEntries) {
   });
   f.rpc.Call(client->node(), server->node(), std::make_unique<WriteRequest>(),
              [](Status, std::unique_ptr<RpcResponse>) {}, /*timeout=*/kMillisecond);
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_EQ(server->dedup_size(), 1u);  // Undone entry parked in the cache.
   // Crash-restart bumps the core epoch: the entry is now orphaned, not
   // in flight.
-  server_cores.Halt();
-  server_cores.Restart();
+  server->cores()->Halt();
+  server->cores()->Restart();
   // Well past the retention horizon, any delivery triggers the prune.
-  f.sim.After(2 * f.costs.rpc_dedup_retention_ns, [&] {
+  client->sim()->After(2 * f.costs.rpc_dedup_retention_ns, [&] {
     f.rpc.Call(client->node(), server->node(), std::make_unique<ReadRequest>(),
                [](Status status, std::unique_ptr<RpcResponse>) {
                  EXPECT_EQ(status, Status::kOk);
                });
   });
-  f.sim.Run();
+  f.lanes.Run();
   EXPECT_LE(server->dedup_size(), 1u);  // Orphan expired; only the fresh call remains.
 }
 

@@ -22,6 +22,8 @@ TEST_P(ScenarioMatrixTest, ChaosInvariantsAndReplay) {
   const ScenarioSpec& spec = ScenarioMatrix()[index];
 
   const ScenarioResult first = RunScenario(spec, seed);
+  ASSERT_TRUE(first.drained) << spec.name << " seed " << seed
+                             << ": still busy 100 ms after the horizon";
   EXPECT_GT(first.digest.acked_writes, 0u) << spec.name << " seed " << seed;
   EXPECT_EQ(first.mismatches, 0u) << spec.name << " seed " << seed
                                   << ": acked writes lost:\n" << first.mismatch_detail;
