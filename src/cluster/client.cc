@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 
 #include "src/common/logging.h"
 
@@ -141,21 +142,22 @@ void RamCloudClient::Report(RetryState* s, Status status, Tick hint) {
   }
 }
 
-void RamCloudClient::Read(TableId table, std::string_view key, ReadCallback done) {
-  const KeyHash hash = HashKey(table, key);
-  RetryState* s = AllocState(table);
-  s->read_done = std::move(done);
-  s->key.assign(key);
+template <typename Request>
+void RamCloudClient::StartPointOp(RetryState* s, KeyHash hash) {
   s->go = [this, s, hash] {
     NodeId owner;
     if (!CachedOwner(s->table, hash, &owner)) {
       Report(s, Status::kWrongServer, 0);
       return;
     }
-    auto request = std::make_unique<ReadRequest>();
+    auto request = std::make_unique<Request>();
     request->table = s->table;
     request->key = s->key;
     request->hash = hash;
+    if constexpr (std::is_same_v<Request, WriteRequest>) {
+      request->value = s->value;
+      request->secondary_key = s->secondary;
+    }
     coordinator_->rpc().Call(
         node(), owner, std::move(request),
         [this, s](Status status, std::unique_ptr<RpcResponse> response) {
@@ -163,128 +165,109 @@ void RamCloudClient::Read(TableId table, std::string_view key, ReadCallback done
             Report(s, status, 0);
             return;
           }
-          auto& read = static_cast<ReadResponse&>(*response);
-          if (read.status == Status::kOk) {
-            s->payload = std::move(read.value);
+          if constexpr (std::is_same_v<Request, ReadRequest>) {
+            auto& read = static_cast<ReadResponse&>(*response);
+            if (read.status == Status::kOk) {
+              s->payload = std::move(read.value);
+            }
+            Report(s, read.status, read.retry_after);
+          } else {
+            auto& write = static_cast<WriteResponse&>(*response);
+            Report(s, write.status, write.retry_after);
           }
-          Report(s, read.status, read.retry_after);
         },
         costs_->rpc_timeout_ns);
   };
   s->go();
 }
 
+void RamCloudClient::Read(TableId table, std::string_view key, ReadCallback done) {
+  RetryState* s = AllocState(table);
+  s->read_done = std::move(done);
+  s->key.assign(key);
+  StartPointOp<ReadRequest>(s, HashKey(table, key));
+}
+
 void RamCloudClient::Write(TableId table, std::string_view key, std::string_view value,
                            DoneCallback done, std::string_view secondary_key) {
-  const KeyHash hash = HashKey(table, key);
   RetryState* s = AllocState(table);
   s->done = std::move(done);
   s->key.assign(key);
   s->value.assign(value);
   s->secondary.assign(secondary_key);
-  s->go = [this, s, hash] {
-    NodeId owner;
-    if (!CachedOwner(s->table, hash, &owner)) {
-      Report(s, Status::kWrongServer, 0);
-      return;
-    }
-    auto request = std::make_unique<WriteRequest>();
-    request->table = s->table;
-    request->key = s->key;
-    request->hash = hash;
-    request->value = s->value;
-    request->secondary_key = s->secondary;
-    coordinator_->rpc().Call(
-        node(), owner, std::move(request),
-        [this, s](Status status, std::unique_ptr<RpcResponse> response) {
-          const Tick hint =
-              status == Status::kOk ? static_cast<WriteResponse&>(*response).retry_after : 0;
-          Report(s, status == Status::kOk ? response->status : status, hint);
-        },
-        costs_->rpc_timeout_ns);
-  };
-  s->go();
+  StartPointOp<WriteRequest>(s, HashKey(table, key));
 }
 
 void RamCloudClient::Remove(TableId table, std::string_view key, DoneCallback done) {
-  const KeyHash hash = HashKey(table, key);
   RetryState* s = AllocState(table);
   s->done = std::move(done);
   s->key.assign(key);
-  s->go = [this, s, hash] {
+  StartPointOp<RemoveRequest>(s, HashKey(table, key));
+}
+
+void RamCloudClient::FanOut(RetryState* s, std::span<const KeyHash> hashes,
+                            std::span<const std::string> keys) {
+  // Group by owning server (the cluster-load effect Figure 3 measures:
+  // spread N means N parallel RPCs for the same 7 keys).
+  std::map<NodeId, std::unique_ptr<MultiGetRequest>> groups;
+  for (size_t i = 0; i < hashes.size(); i++) {
     NodeId owner;
-    if (!CachedOwner(s->table, hash, &owner)) {
+    if (!CachedOwner(s->table, hashes[i], &owner)) {
       Report(s, Status::kWrongServer, 0);
       return;
     }
-    auto request = std::make_unique<RemoveRequest>();
-    request->table = s->table;
-    request->key = s->key;
-    request->hash = hash;
+    auto& request = groups[owner];
+    if (request == nullptr) {
+      request = std::make_unique<MultiGetRequest>();
+      request->table = s->table;
+    }
+    if (!keys.empty()) {
+      request->keys.push_back(keys[i]);
+    }
+    request->hashes.push_back(hashes[i]);
+  }
+  struct Aggregate {
+    size_t remaining = 0;
+    Status worst = Status::kOk;
+    Tick hint = 0;
+    RetryState* s = nullptr;
+  };
+  auto aggregate = std::make_shared<Aggregate>();
+  aggregate->remaining = groups.size();
+  aggregate->s = s;
+  for (auto& [owner, request] : groups) {
     coordinator_->rpc().Call(
         node(), owner, std::move(request),
-        [this, s](Status status, std::unique_ptr<RpcResponse> response) {
-          const Tick hint =
-              status == Status::kOk ? static_cast<RemoveResponse&>(*response).retry_after : 0;
-          Report(s, status == Status::kOk ? response->status : status, hint);
+        [this, aggregate](Status status, std::unique_ptr<RpcResponse> response) {
+          Status effective = status;
+          Tick hint = 0;
+          if (status == Status::kOk) {
+            auto& multi = static_cast<MultiGetResponse&>(*response);
+            effective = multi.status;
+            hint = multi.retry_after;
+          }
+          if (effective != Status::kOk && aggregate->worst == Status::kOk) {
+            aggregate->worst = effective;
+          }
+          aggregate->hint = std::max(aggregate->hint, hint);
+          if (--aggregate->remaining == 0) {
+            Report(aggregate->s, aggregate->worst, aggregate->hint);
+          }
         },
         costs_->rpc_timeout_ns);
-  };
-  s->go();
+  }
 }
 
 void RamCloudClient::MultiGet(TableId table, std::vector<std::string> keys, DoneCallback done) {
   RetryState* s = AllocState(table);
   s->done = std::move(done);
   s->go = [this, s, keys = std::move(keys)] {
-    // Group keys by owning server (the cluster-load effect Figure 3
-    // measures: spread N means N parallel RPCs for the same 7 keys).
-    std::map<NodeId, std::unique_ptr<MultiGetRequest>> groups;
+    std::vector<KeyHash> hashes;
+    hashes.reserve(keys.size());
     for (const auto& key : keys) {
-      const KeyHash hash = HashKey(s->table, key);
-      NodeId owner;
-      if (!CachedOwner(s->table, hash, &owner)) {
-        Report(s, Status::kWrongServer, 0);
-        return;
-      }
-      auto& request = groups[owner];
-      if (request == nullptr) {
-        request = std::make_unique<MultiGetRequest>();
-        request->table = s->table;
-      }
-      request->keys.push_back(key);
-      request->hashes.push_back(hash);
+      hashes.push_back(HashKey(s->table, key));
     }
-    struct Aggregate {
-      size_t remaining = 0;
-      Status worst = Status::kOk;
-      Tick hint = 0;
-      RetryState* s = nullptr;
-    };
-    auto aggregate = std::make_shared<Aggregate>();
-    aggregate->remaining = groups.size();
-    aggregate->s = s;
-    for (auto& [owner, request] : groups) {
-      coordinator_->rpc().Call(
-          node(), owner, std::move(request),
-          [this, aggregate](Status status, std::unique_ptr<RpcResponse> response) {
-            Status effective = status;
-            Tick hint = 0;
-            if (status == Status::kOk) {
-              auto& multi = static_cast<MultiGetResponse&>(*response);
-              effective = multi.status;
-              hint = multi.retry_after;
-            }
-            if (effective != Status::kOk && aggregate->worst == Status::kOk) {
-              aggregate->worst = effective;
-            }
-            aggregate->hint = std::max(aggregate->hint, hint);
-            if (--aggregate->remaining == 0) {
-              Report(aggregate->s, aggregate->worst, aggregate->hint);
-            }
-          },
-          costs_->rpc_timeout_ns);
-    }
+    FanOut(s, hashes, keys);
   };
   s->go();
 }
@@ -334,52 +317,9 @@ void RamCloudClient::IndexScan(TableId table, uint8_t index_id, std::string star
             Report(s, Status::kOk, 0);
             return;
           }
-          // Phase 2: fetch the records by hash, grouped per backing tablet
-          // owner (index holds hashes, not records — Figure 2).
-          std::map<NodeId, std::unique_ptr<MultiGetHashRequest>> groups;
-          for (const KeyHash hash : lookup_response.hashes) {
-            NodeId owner;
-            if (!CachedOwner(s->table, hash, &owner)) {
-              Report(s, Status::kWrongServer, 0);
-              return;
-            }
-            auto& request = groups[owner];
-            if (request == nullptr) {
-              request = std::make_unique<MultiGetHashRequest>();
-              request->table = s->table;
-            }
-            request->hashes.push_back(hash);
-          }
-          struct Aggregate {
-            size_t remaining = 0;
-            Status worst = Status::kOk;
-            Tick hint = 0;
-            RetryState* s = nullptr;
-          };
-          auto aggregate = std::make_shared<Aggregate>();
-          aggregate->remaining = groups.size();
-          aggregate->s = s;
-          for (auto& [owner, request] : groups) {
-            coordinator_->rpc().Call(
-                node(), owner, std::move(request),
-                [this, aggregate](Status status, std::unique_ptr<RpcResponse> response) {
-                  Status effective = status;
-                  Tick hint = 0;
-                  if (status == Status::kOk) {
-                    auto& multi = static_cast<MultiGetHashResponse&>(*response);
-                    effective = multi.status;
-                    hint = multi.retry_after;
-                  }
-                  if (effective != Status::kOk && aggregate->worst == Status::kOk) {
-                    aggregate->worst = effective;
-                  }
-                  aggregate->hint = std::max(aggregate->hint, hint);
-                  if (--aggregate->remaining == 0) {
-                    Report(aggregate->s, aggregate->worst, aggregate->hint);
-                  }
-                },
-                costs_->rpc_timeout_ns);
-          }
+          // Phase 2: fetch the records by hash from their tablet owners
+          // (the index holds hashes, not records — Figure 2).
+          FanOut(s, lookup_response.hashes, {});
         },
         costs_->rpc_timeout_ns);
   };

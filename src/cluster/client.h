@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,7 @@ class RamCloudClient {
   void MultiGet(TableId table, std::vector<std::string> keys, DoneCallback done);
 
   // Secondary-index short scan (Figure 4): one kIndexLookup to the indexlet
-  // owner, then kMultiGetHash RPCs to the backing tablet owners.
+  // owner, then by-hash kMultiGet RPCs to the backing tablet owners.
   void IndexScan(TableId table, uint8_t index_id, std::string start_key, uint32_t count,
                  DoneCallback done);
 
@@ -99,6 +100,16 @@ class RamCloudClient {
   // cache has no covering entry.
   bool CachedOwner(TableId table, KeyHash hash, NodeId* node) const;
   void RefreshConfig(TableId table, std::function<void()> then);
+
+  // The one point-op attempt (Read/Write/Remove), installed as `s->go` and
+  // run: owner lookup (kWrongServer on a cache miss), one Request RPC, then
+  // Report with the reply's status and retry hint.
+  template <typename Request>
+  void StartPointOp(RetryState* s, KeyHash hash);
+  // The one multi-read attempt (MultiGet, IndexScan phase 2): one kMultiGet
+  // per owner of `hashes`, in parallel, by key when `keys` is not empty;
+  // Reports the first failure (or kOk) with the latest hint once all answer.
+  void FanOut(RetryState* s, std::span<const KeyHash> hashes, std::span<const std::string> keys);
 
   // Retry-with-policy core: each attempt reports its status (and, for
   // kRetryLater, a time hint) via Report, which refreshes/backs off and

@@ -81,9 +81,7 @@ void ReplicaManager::SendToBackup(NodeId backup, uint32_t segment_id, uint32_t o
         }
         // The backup may be mid-crash-restart; its frame store survives, so
         // re-issuing the same idempotent write is always safe.
-        const Tick backoff = std::min<Tick>(rpc_->costs()->retry_backoff_min_ns << attempt,
-                                            rpc_->costs()->wrong_server_backoff_max_ns) +
-                             rpc_->CallerRng(owner_node_).Uniform(rpc_->costs()->retry_backoff_min_ns);
+        const Tick backoff = rpc_->costs()->RedriveBackoff(attempt, rpc_->CallerRng(owner_node_));
         sim->After(backoff, [this, backup, segment_id, offset, data, seal, bulk, attempt,
                              done = std::move(done)]() mutable {
           SendToBackup(backup, segment_id, offset, std::move(data), seal, bulk, attempt + 1,

@@ -30,6 +30,16 @@ RocksteadyMigrationManager* ParkManager(MasterServer* master,
 // real log segments; only load matters for these replicas).
 constexpr uint32_t kSyncReplStreamBase = 0x40000000;
 
+// Adaptive pull pacing (OnLoadSignal): a source-load signal at or past its
+// threshold halves the pull window and per-pull budget (never below
+// kMinPullBudgetBytes); each healthy reply grows the budget back by
+// kPullBudgetIncrementBytes.
+constexpr Tick kPacingP999ThresholdNs = 200'000;
+constexpr uint32_t kPacingQueueThreshold = 16;
+constexpr Tick kPacingBacklogThresholdNs = 50'000;
+constexpr uint32_t kMinPullBudgetBytes = 4 * 1024;
+constexpr uint32_t kPullBudgetIncrementBytes = 2 * 1024;
+
 }  // namespace
 
 RocksteadyMigrationManager::RocksteadyMigrationManager(
@@ -72,9 +82,7 @@ void RocksteadyMigrationManager::ControlCall(
         }
         // The peer may be mid-crash-restart; re-issue after a backoff. The
         // server side dedups, so a late duplicate cannot double-apply.
-        const Tick backoff = std::min<Tick>(target_->costs().retry_backoff_min_ns << attempt,
-                                            target_->costs().wrong_server_backoff_max_ns) +
-                             target_->rng().Uniform(target_->costs().retry_backoff_min_ns);
+        const Tick backoff = target_->costs().RedriveBackoff(attempt, target_->rng());
         target_->sim().After(backoff, [this, to, make_request = std::move(make_request),
                                        cb = std::move(cb), attempt]() mutable {
           if (aborted_ || target_->crashed()) {
@@ -337,13 +345,13 @@ void RocksteadyMigrationManager::OnLoadSignal(const SourceLoadHeader& load, bool
   }
   const bool overloaded =
       rejected || (load.valid &&
-                   (load.client_queue_depth >= options_.pacing_queue_threshold ||
-                    load.dispatch_backlog_ns >= options_.pacing_backlog_threshold_ns ||
-                    load.recent_p999_ns >= options_.pacing_p999_threshold_ns));
+                   (load.client_queue_depth >= kPacingQueueThreshold ||
+                    load.dispatch_backlog_ns >= kPacingBacklogThresholdNs ||
+                    load.recent_p999_ns >= kPacingP999ThresholdNs));
   if (overloaded) {
     // Multiplicative decrease: halve concurrency and per-pull bytes.
     pacing_window_ = std::max<size_t>(1, pacing_window_ / 2);
-    pacing_budget_ = std::max(options_.min_pull_budget_bytes, pacing_budget_ / 2);
+    pacing_budget_ = std::max(kMinPullBudgetBytes, pacing_budget_ / 2);
     stats_.pacing_backoffs++;
   } else {
     // Additive increase back toward full aggressiveness.
@@ -351,7 +359,7 @@ void RocksteadyMigrationManager::OnLoadSignal(const SourceLoadHeader& load, bool
       pacing_window_++;
     }
     pacing_budget_ = std::min(options_.pull_budget_bytes,
-                              pacing_budget_ + options_.pull_budget_increment_bytes);
+                              pacing_budget_ + kPullBudgetIncrementBytes);
   }
 }
 

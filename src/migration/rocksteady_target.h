@@ -59,13 +59,9 @@ struct RocksteadyOptions {
   // pacing window (concurrent pulls) and per-pull byte budget shrink
   // multiplicatively; every healthy reply grows them back additively toward
   // full aggressiveness. An unloaded source never trips a threshold, so
-  // pacing leaves a quiet migration's schedule untouched.
+  // pacing leaves a quiet migration's schedule untouched. The thresholds
+  // are constants in rocksteady_target.cc.
   bool adaptive_pacing = true;
-  Tick pacing_p999_threshold_ns = 200'000;
-  uint32_t pacing_queue_threshold = 16;
-  Tick pacing_backlog_threshold_ns = 50'000;
-  uint32_t min_pull_budget_bytes = 4 * 1024;
-  uint32_t pull_budget_increment_bytes = 2 * 1024;
 };
 
 struct MigrationStats {

@@ -25,8 +25,7 @@ enum class Opcode : uint8_t {
   kRead,
   kWrite,
   kRemove,
-  kMultiGet,       // By full key (Figure 3 workload).
-  kMultiGetHash,   // By primary key hash (index-driven reads, Figure 4).
+  kMultiGet,       // By full key (Figure 3) or by primary key hash (Figure 4).
   kIndexLookup,    // Short secondary-index range scan: returns key hashes.
   kIndexInsert,    // Master -> indexlet owner on writes to indexed tables.
   // Replication and recovery.
@@ -124,13 +123,17 @@ struct StatusResponse : RpcResponse {
 
 // ------------------------------------------------------------- Data path.
 
-struct ReadRequest : RpcRequest {
+// Fields shared by the single-key ops (kRead, kWrite, kRemove).
+struct PointRequest : RpcRequest {
   TableId table = 0;
   std::string key;
   KeyHash hash = 0;
 
-  Opcode op() const override { return Opcode::kRead; }
   size_t WireSize() const override { return kRpcHeaderBytes + key.size() + 8; }
+};
+
+struct ReadRequest : PointRequest {
+  Opcode op() const override { return Opcode::kRead; }
 };
 
 struct ReadResponse : RpcResponse {
@@ -144,20 +147,22 @@ struct ReadResponse : RpcResponse {
   ROCKSTEADY_CLONEABLE_RESPONSE(ReadResponse)
 };
 
-struct WriteRequest : RpcRequest {
-  TableId table = 0;
-  std::string key;
-  KeyHash hash = 0;
+struct WriteRequest : PointRequest {
   std::string value;
   // Secondary key for indexed tables (empty = unindexed).
   std::string secondary_key;
 
   Opcode op() const override { return Opcode::kWrite; }
   size_t WireSize() const override {
-    return kRpcHeaderBytes + key.size() + value.size() + secondary_key.size() + 8;
+    return PointRequest::WireSize() + value.size() + secondary_key.size();
   }
 };
 
+struct RemoveRequest : PointRequest {
+  Opcode op() const override { return Opcode::kRemove; }
+};
+
+// Reply to both mutations (kWrite and kRemove).
 struct WriteResponse : RpcResponse {
   Version version = 0;
   // For Status::kRetryLater (tablet still replaying recovered data):
@@ -167,24 +172,10 @@ struct WriteResponse : RpcResponse {
   ROCKSTEADY_CLONEABLE_RESPONSE(WriteResponse)
 };
 
-struct RemoveRequest : RpcRequest {
-  TableId table = 0;
-  std::string key;
-  KeyHash hash = 0;
-
-  Opcode op() const override { return Opcode::kRemove; }
-  size_t WireSize() const override { return kRpcHeaderBytes + key.size() + 8; }
-};
-
-struct RemoveResponse : RpcResponse {
-  Version version = 0;
-  // For Status::kRetryLater (tablet still replaying recovered data):
-  // absolute simulated time after which to re-issue.
-  Tick retry_after = 0;
-
-  ROCKSTEADY_CLONEABLE_RESPONSE(RemoveResponse)
-};
-
+// Reads several records of one table from one master. `hashes` is always
+// set; `keys`, when not empty, holds the full key of each hash (read by key,
+// Figure 3). Empty `keys` reads by primary key hash (index-driven reads,
+// Figure 4).
 struct MultiGetRequest : RpcRequest {
   TableId table = 0;
   std::vector<std::string> keys;
@@ -214,16 +205,6 @@ struct MultiGetResponse : RpcResponse {
   }
   ROCKSTEADY_CLONEABLE_RESPONSE(MultiGetResponse)
 };
-
-struct MultiGetHashRequest : RpcRequest {
-  TableId table = 0;
-  std::vector<KeyHash> hashes;
-
-  Opcode op() const override { return Opcode::kMultiGetHash; }
-  size_t WireSize() const override { return kRpcHeaderBytes + hashes.size() * 8; }
-};
-
-using MultiGetHashResponse = MultiGetResponse;
 
 struct IndexLookupRequest : RpcRequest {
   TableId table = 0;

@@ -13,9 +13,11 @@
 #ifndef ROCKSTEADY_SRC_SIM_COST_MODEL_H_
 #define ROCKSTEADY_SRC_SIM_COST_MODEL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
+#include "src/common/random.h"
 #include "src/common/types.h"
 
 namespace rocksteady {
@@ -206,6 +208,14 @@ struct CostModel {
   Tick CleanSegmentCost(size_t relocated_bytes) const {
     return cleaner_base_ns +
            static_cast<Tick>(cleaner_per_byte_ns * static_cast<double>(relocated_bytes));
+  }
+  // Wait before re-driving a failed control or backup-write RPC for the
+  // `attempt`-th time: retry_backoff_min_ns doubled per attempt, capped at
+  // wrong_server_backoff_max_ns, plus jitter drawn from `rng` (the calling
+  // node's stream).
+  Tick RedriveBackoff(int attempt, Random& rng) const {
+    return std::min<Tick>(retry_backoff_min_ns << attempt, wrong_server_backoff_max_ns) +
+           rng.Uniform(retry_backoff_min_ns);
   }
 };
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -46,6 +47,40 @@ class Chain {
 
   Simulator* sim_;
   Tick period_;
+};
+
+// Removes a loaded key (or, every other time, an absent one) every
+// `period`, so the steady window drives all three point ops (YCSB-B issues
+// the reads and writes) through the client's shared point-op path and the
+// master's mutation path.
+class RemoveLoop {
+ public:
+  RemoveLoop(RamCloudClient* client, uint64_t records, Tick period)
+      : client_(client), records_(records), period_(period) {}
+
+  void Start() {
+    client_->sim().After(period_, [this] { Step(); });
+  }
+  uint64_t completed() const { return completed_; }
+
+ private:
+  void Step() {
+    // Loaded ids are [0, records); ids past them are absent.
+    const uint64_t id = next_ % 2 == 0 ? next_ % records_ : records_ + next_;
+    next_++;
+    Cluster::MakeKeyInto(id, /*key_length=*/12, &key_);
+    client_->Remove(kTable, key_, [this](Status status) {
+      completed_ += status == Status::kOk || status == Status::kObjectNotFound;
+    });
+    client_->sim().After(period_, [this] { Step(); });
+  }
+
+  RamCloudClient* client_;
+  uint64_t records_;
+  Tick period_;
+  uint64_t next_ = 0;
+  uint64_t completed_ = 0;
+  std::string key_;
 };
 
 TEST(AllocRegressionTest, PureEventLoopIsAllocationFreeInSteadyState) {
@@ -94,8 +129,10 @@ TEST(AllocRegressionTest, YcsbSteadyWindowHasZeroPoolMissedAllocations) {
   actor_config.ops_per_second = 75'000;
   ClientActor actor_a(kTable, &cluster.client(0), &workload_a, actor_config);
   ClientActor actor_b(kTable, &cluster.client(1), &workload_b, actor_config);
+  RemoveLoop removes(&cluster.client(0), ycsb.num_records, /*period=*/20 * kMicrosecond);
   actor_a.Start();
   actor_b.Start();
+  removes.Start();
 
   // Warm-up: pools (event slabs, client retry states, server scratch) reach
   // their steady-state footprint.
@@ -104,11 +141,13 @@ TEST(AllocRegressionTest, YcsbSteadyWindowHasZeroPoolMissedAllocations) {
   const uint64_t slabs_before = cluster.coordinator().sim().pool_stats().slab_allocations;
   const uint64_t fallbacks_before = InlineFunctionHeapFallbacks();
   const size_t events_before = cluster.events_processed();
+  const uint64_t removes_before = removes.completed();
   cluster.RunUntil(40 * kMillisecond);
   const size_t events = cluster.events_processed() - events_before;
 
   ASSERT_GT(events, 10'000u);  // The steady window covers >=10k events.
   ASSERT_GT(actor_a.completed() + actor_b.completed(), 0u);
+  ASSERT_GT(removes.completed() - removes_before, 500u);  // Removes ran in the window.
   EXPECT_EQ(cluster.coordinator().sim().pool_stats().slab_allocations - slabs_before, 0u);
   EXPECT_EQ(InlineFunctionHeapFallbacks() - fallbacks_before, 0u);
 }
@@ -140,8 +179,10 @@ TEST(AllocRegressionTest, ThreadedLaneSteadyWindowHasZeroSlabGrowthPerLane) {
   actor_config.ops_per_second = 75'000;
   ClientActor actor_a(kTable, &cluster.client(0), &workload_a, actor_config);
   ClientActor actor_b(kTable, &cluster.client(1), &workload_b, actor_config);
+  RemoveLoop removes(&cluster.client(0), ycsb.num_records, /*period=*/20 * kMicrosecond);
   actor_a.Start();
   actor_b.Start();
+  removes.Start();
 
   LaneSet* lanes = cluster.lanes();
   ASSERT_NE(lanes, nullptr);
@@ -158,11 +199,13 @@ TEST(AllocRegressionTest, ThreadedLaneSteadyWindowHasZeroSlabGrowthPerLane) {
   }
   const uint64_t fallbacks_before = InlineFunctionHeapFallbacks();
   const size_t events_before = cluster.events_processed();
+  const uint64_t removes_before = removes.completed();
   cluster.RunUntil(40 * kMillisecond);
   const size_t events = cluster.events_processed() - events_before;
 
   ASSERT_GT(events, 10'000u);
   ASSERT_GT(actor_a.completed() + actor_b.completed(), 0u);
+  ASSERT_GT(removes.completed() - removes_before, 500u);  // Removes ran in the window.
   for (int l = 0; l < lanes->lanes(); l++) {
     const Simulator::PoolStats stats = lanes->lane_sim(l).pool_stats();
     // Zero slab growth on every lane individually — a lane leaking events to
